@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="domkit",
         description="Exact domination toolkit for integer distance digraphs "
         "with steps {1,...,d-2,s} and for circulant digraphs.",
-        epilog="DOMKIT_THREADS caps parallel workers during period scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,15 +7,10 @@ is the caller's; the a-priori bound on the period of an optimal periodic
 set (c * 2^c where c spans the step set with 0) is reported in the result
 but never enforced, since it is astronomically larger than any practical
 cap.
-
-DOMKIT_THREADS caps process-level parallelism of the scan; the reduction
-over periods is deterministic regardless of schedule.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,35 +48,19 @@ def period_bound(steps: DifferenceSet) -> tuple[int, int]:
     return c, c * 2**c
 
 
-def _scan_period(args):
-    elements, p = args
-    inst = reduce_mod(DifferenceSet(elements), p)
-    cert = gamma_exact(inst)
-    return p, cert.gamma, tuple(sorted(cert.witness))
+def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> SearchReport:
+    """Scan periods 1..max_period and report the best certified ratio.
 
-
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is None:
-        jobs = int(os.environ.get("DOMKIT_THREADS", "1"))
-    return max(1, jobs)
-
-
-def search_ratio(
-    steps: DifferenceSet, max_period: int, jobs: int | None = None
-) -> SearchReport:
-    """Scan periods 1..max_period and report the best certified ratio."""
+    The scan is serial; jobs is kept for old callers and must be 1.
+    """
+    if jobs != 1:
+        raise ValueError("jobs must be 1: the period scan is serial")
     if max_period < 1:
         raise ValueError("max_period must be positive")
-    jobs = _resolve_jobs(jobs)
-    tasks = [(steps.elements, p) for p in range(1, max_period + 1)]
-    if jobs == 1 or max_period < 4:
-        rows = [_scan_period(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_period, tasks, chunksize=4))
-    per_period = tuple((p, g, Fraction(g, p)) for p, g, _ in rows)
-    best_p, best_g, best_res = min(rows, key=lambda row: (Fraction(row[1], row[0]), row[0]))
-    witness = PeriodicSet(best_p, frozenset(best_res))
+    certs = {p: gamma_exact(reduce_mod(steps, p)) for p in range(1, max_period + 1)}
+    per_period = tuple((p, cert.gamma, Fraction(cert.gamma, p)) for p, cert in certs.items())
+    best_p, _, best_ratio = min(per_period, key=lambda row: (row[2], row[0]))
+    witness = PeriodicSet(best_p, certs[best_p].witness)
     if not verify_dominating(witness, steps):
         raise ConsistencyError("scan produced a non-dominating witness")
     c, bound = period_bound(steps)
@@ -90,7 +69,7 @@ def search_ratio(
         f"(c = {c}, span of the steps with 0); reported only, never scanned"
     )
     return SearchReport(
-        best_ratio=Fraction(best_g, best_p),
+        best_ratio=best_ratio,
         best_period=best_p,
         best_witness=witness,
         per_period=per_period,
@@ -99,9 +78,7 @@ def search_ratio(
     )
 
 
-def consistency_check(
-    d: int, s: int, max_period: int, jobs: int | None = None
-) -> ConsistencyReport:
+def consistency_check(d: int, s: int, max_period: int) -> ConsistencyReport:
     """Cross-validate formula, construction, and scan for one family member.
 
     Checks that the scan never beats the closed form, that its minimum
@@ -111,7 +88,7 @@ def consistency_check(
     if max_period < constructed.period:
         raise ValueError("cap too small")
     steps = family_set(d, s)
-    report = search_ratio(steps, max_period, jobs)
+    report = search_ratio(steps, max_period)
     violations = []
     if report.best_ratio != formula.value:
         violations.append(

@@ -1,9 +1,8 @@
 """Exact domination numbers of circulant digraphs.
 
 gamma_exact runs a branch-and-bound kernel over coverage bitmasks.  The
-compiled kernel (domkit._core, Cython) is preferred; the pure-Python twin
-(domkit._core_py) is selected automatically when the extension is not
-built, or on demand with DOMKIT_PURE=1.  gamma_bruteforce is a
+kernel is the compiled extension (domkit._core, Cython) if it imports,
+else its pure-Python twin (domkit._core_py).  gamma_bruteforce is a
 deliberately naive oracle that shares no search logic with the kernel:
 it tries every subset in increasing cardinality order.
 """
@@ -11,24 +10,18 @@ it tries every subset in increasing cardinality order.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
-from .model import CirculantInstance, DifferenceSet
+from .model import CirculantInstance, ConsistencyError, DifferenceSet
 
-if os.environ.get("DOMKIT_PURE"):
+try:
+    from . import _core as _kernel
+
+    KERNEL = "compiled"
+except ImportError:  # extension not built; pure fallback
     from . import _core_py as _kernel
 
     KERNEL = "pure"
-else:
-    try:
-        from . import _core as _kernel
-
-        KERNEL = "compiled"
-    except ImportError:  # extension not built; pure fallback
-        from . import _core_py as _kernel
-
-        KERNEL = "pure"
 
 
 @dataclass(frozen=True)
@@ -79,7 +72,7 @@ def gamma_exact(inst: CirculantInstance) -> GammaCertificate:
         witness = frozenset(_bits(mask))
         cert = GammaCertificate(size, witness, explored)
         if not verify_witness(inst, witness) or len(witness) != size:
-            raise AssertionError(f"kernel returned an invalid witness for {key}")
+            raise ConsistencyError(f"kernel returned an invalid witness for {key}")
         _gamma_cache[key] = cert
     return cert
 
@@ -153,19 +146,18 @@ def perfect_code_exists(inst: CirculantInstance) -> frozenset[int] | None:
         cover.append(mask)
     full = (1 << n) - 1
 
-    def walk(covered: int, acc: tuple[int, ...]):
+    # depth-first over "which vertex covers the lowest uncovered target",
+    # smallest vertex first; an explicit stack because the depth is n / m,
+    # past Python's recursion limit at n = 3000
+    stack = [(0, ())]
+    while stack:
+        covered, acc = stack.pop()
         if covered == full:
-            return acc
+            return frozenset(acc)
         low = (~covered & full) & -(~covered & full)
         x = low.bit_length() - 1
-        for v in sorted((x - t) % n for t in offsets):
+        for v in sorted(((x - t) % n for t in offsets), reverse=True):
             cv = cover[v]
-            if cv & covered:
-                continue
-            hit = walk(covered | cv, acc + (v,))
-            if hit is not None:
-                return hit
-        return None
-
-    found = walk(0, ())
-    return frozenset(found) if found is not None else None
+            if not cv & covered:
+                stack.append((covered | cv, acc + (v,)))
+    return None

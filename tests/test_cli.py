@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import domkit.cli as cli
+import domkit.solver as solver
 from domkit.formula import domination_ratio
 from domkit.model import parse_ratio
 
@@ -204,6 +205,16 @@ def test_exit_3_on_internal_disagreement(capsys, monkeypatch):
     assert "internal consistency failure" in err
     # the payload still lands on stdout for postmortems
     assert json.loads(out)["oracle_agrees"] is False
+
+
+def test_exit_3_on_invalid_kernel_witness(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_gamma_cache", {})
+    monkeypatch.setattr(solver._kernel, "solve_cover", lambda n, offsets: (1, 1, 1))
+    code, out, err = run(capsys, "gamma", "--n", "5", "--set", "1,2")
+    assert code == 3
+    assert out == ""
+    assert "invalid witness" in err
+    assert "Traceback" not in err
 
 
 def test_repeat_invocations_byte_identical(capsys):

@@ -39,7 +39,7 @@ def test_rational_ops_agree_with_cross_multiplication():
     rng = random.Random(987654321)
     pool = [(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(4096)]
     fracs = [Fraction(a, b) for a, b in pool]
-    for _ in range(1_000_000):
+    for _ in range(4096):
         i = rng.randrange(4096)
         j = rng.randrange(4096)
         a, b = pool[i]

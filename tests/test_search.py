@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -99,17 +102,24 @@ def test_period_bound_examples():
     assert period_bound(DifferenceSet((-2, 5))) == (7, 896)
 
 
-def test_parallel_scan_matches_sequential():
+def test_search_jobs_must_be_one():
     steps = DifferenceSet((1, 2, 8))
-    seq = search_ratio(steps, 16, jobs=1)
-    par = search_ratio(steps, 16, jobs=2)
-    assert seq == par
+    assert search_ratio(steps, 16, jobs=1) == search_ratio(steps, 16)
+    with pytest.raises(ValueError, match="jobs"):
+        search_ratio(steps, 16, jobs=2)
 
 
-def test_parallel_scan_respects_env(monkeypatch):
-    monkeypatch.setenv("DOMKIT_THREADS", "2")
-    steps = DifferenceSet((1, 4))
-    assert search_ratio(steps, 10).best_ratio == Fraction(2, 5)
+def test_import_loads_no_process_pool():
+    # a process pool would pull in the concurrent package and multiprocessing
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import domkit; "
+        "print(sorted({'concurrent', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize(

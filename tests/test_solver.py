@@ -156,6 +156,13 @@ def test_perfect_code_is_minimum_dominating():
             assert len(witness) == gamma_exact(inst).gamma
 
 
+def test_perfect_code_large_modulus():
+    # the search is one level deep per chosen vertex, 1000 levels here
+    inst = reduce_mod(DifferenceSet((1, 2)), 3000)
+    witness = perfect_code_exists(inst)
+    assert witness == frozenset(range(0, 3000, 3))
+
+
 def test_kernel_dispatch():
     assert kernel_name() in ("compiled", "pure")
 
