@@ -1,58 +1,13 @@
-"""Build script for the optional compiled solver kernel.
+"""Build script for domkit._core, the C twin of domkit._core_py.
 
-The package is pure Python except for domkit._core, a Cython port of the
-branch-and-bound kernel in domkit._core_py.  If Cython or a C compiler is
-missing the extension is skipped and the package falls back to the pure
-kernel at import time, so the build must never hard-fail here.
+optional=True turns a failed compile into a warning; domkit then runs the
+pure-Python kernel.
 """
 
-import os
-
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
 
-
-class optional_build_ext(build_ext):
-    """build_ext that downgrades compiler failures to a warning."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # no compiler at all
-            self._warn(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc):
-        print(f"warning: compiled kernel skipped ({exc}); using pure-Python fallback")
-
-
-ext_modules = []
-if os.environ.get("DOMKIT_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "domkit._core",
-                    ["src/domkit/_core.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={
-                "language_level": "3",
-                "boundscheck": False,
-                "wraparound": False,
-                "cdivision": True,
-            },
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[
+        Extension("domkit._core", ["src/domkit/_core.c"], extra_compile_args=["-O3"], optional=True)
+    ]
+)

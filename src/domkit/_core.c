@@ -1,0 +1,304 @@
+/* Compiled kernel for exact minimum covering by cyclic shifts.
+
+   A line-by-line port of domkit._core_py.solve_cover onto 64-bit bitset
+   words: the same greedy upper bound, branch vertex, branch order,
+   tie-breaks and node count, so both kernels return identical
+   (size, witness, explored) triples.  Only Python.h and libc are used.
+   Every index is a size_t, so n * W cannot wrap for any n that fits in
+   memory. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef unsigned long long u64;
+
+/* GCC and Clang builtins; setup.py passes -O3, which only they accept */
+static inline size_t popcount(u64 x) { return (size_t)__builtin_popcountll(x); }
+static inline size_t ctz(u64 x) { return (size_t)__builtin_ctzll(x); }
+
+#define BIT(v) (1ULL << ((v) & 63))
+
+typedef struct {
+    size_t n, m, W;        /* modulus, offset count, words per mask */
+    size_t best_size;
+    size_t cand_cap;       /* most dominators a target can have */
+    long long explored;
+    u64 *cover, *dom;      /* n * W: what v covers, what dominates x */
+    u64 *full;             /* W */
+    u64 *cov, *exc, *cho;  /* depth_cap * W: covered, excluded, chosen per depth */
+    u64 *sel;              /* W: candidates of the branch vertex */
+    u64 *best;             /* W: best witness so far */
+    size_t *cand_v, *cand_g;  /* depth_cap * cand_cap: branch order per depth */
+} Search;
+
+/* calloc of a * b elements, NULL if a * b or the allocation overflows */
+static void *calloc2(size_t a, size_t b, size_t size)
+{
+    if (b && a > SIZE_MAX / b)
+        return NULL;
+    return calloc(a * b, size);
+}
+
+static void search_free(Search *s)
+{
+    free(s->cover);
+    free(s->dom);
+    free(s->full);
+    free(s->cov);
+    free(s->exc);
+    free(s->cho);
+    free(s->sel);
+    free(s->best);
+    free(s->cand_v);
+    free(s->cand_g);
+}
+
+/* popcount(mask & ~minus) over W words */
+static size_t pop_masked(const u64 *mask, const u64 *minus, size_t W)
+{
+    size_t i, c = 0;
+    for (i = 0; i < W; i++)
+        c += popcount(mask[i] & ~minus[i]);
+    return c;
+}
+
+static int is_full(const Search *s, const u64 *mask)
+{
+    return memcmp(mask, s->full, s->W * sizeof(u64)) == 0;
+}
+
+/* max fresh coverage, lowest vertex on ties; covd is zeroed W scratch */
+static void greedy(Search *s, u64 *covd)
+{
+    size_t i, v, bv, g, W = s->W;
+    s->best_size = 0;
+    while (!is_full(s, covd)) {
+        size_t bg = 0;
+        bv = s->n;
+        for (v = 0; v < s->n; v++) {
+            g = pop_masked(s->cover + v * W, covd, W);
+            if (bv == s->n || g > bg) {
+                bg = g;
+                bv = v;
+            }
+        }
+        s->best[bv >> 6] |= BIT(bv);
+        for (i = 0; i < W; i++)
+            covd[i] |= s->cover[bv * W + i];
+        s->best_size++;
+    }
+}
+
+static void rec(Search *s, size_t depth, size_t size)
+{
+    const size_t W = s->W;
+    u64 *covered = s->cov + depth * W;
+    u64 *excluded = s->exc + depth * W;
+    u64 *chosen = s->cho + depth * W;
+    u64 *child_cov = covered + W, *child_exc = excluded + W, *child_cho = chosen + W;
+    size_t *cand_v = s->cand_v + depth * s->cand_cap;
+    size_t *cand_g = s->cand_g + depth * s->cand_cap;
+    size_t i, j, w, x, v, g, cnt, need, nc = 0, bx_count = s->n + 1;
+
+    s->explored++;
+    if (is_full(s, covered)) {
+        if (size < s->best_size) {
+            s->best_size = size;
+            memcpy(s->best, chosen, W * sizeof(u64));
+        }
+        return;
+    }
+    need = (pop_masked(s->full, covered, W) + s->m - 1) / s->m;
+    if (size + need >= s->best_size)
+        return;
+
+    /* uncovered target with the fewest allowed dominators, lowest first;
+       a single dominator cannot be beaten, so the scan stops there */
+    for (w = 0; w < W && bx_count > 1; w++) {
+        u64 rem = s->full[w] & ~covered[w];
+        while (rem) {
+            x = (w << 6) + ctz(rem);
+            rem &= rem - 1;
+            cnt = pop_masked(s->dom + x * W, excluded, W);
+            if (cnt == 0)
+                return;
+            if (cnt < bx_count) {
+                bx_count = cnt;
+                for (i = 0; i < W; i++)
+                    s->sel[i] = s->dom[x * W + i] & ~excluded[i];
+                if (cnt == 1)
+                    break;
+            }
+        }
+    }
+
+    /* insertion by descending fresh coverage; vertices arrive in
+       ascending order, so ties keep the lower vertex first */
+    for (w = 0; w < W; w++) {
+        u64 cb = s->sel[w];
+        while (cb) {
+            v = (w << 6) + ctz(cb);
+            cb &= cb - 1;
+            g = pop_masked(s->cover + v * W, covered, W);
+            for (j = nc; j > 0 && cand_g[j - 1] < g; j--) {
+                cand_g[j] = cand_g[j - 1];
+                cand_v[j] = cand_v[j - 1];
+            }
+            cand_g[j] = g;
+            cand_v[j] = v;
+            nc++;
+        }
+    }
+
+    for (j = 0; j < nc; j++) {
+        v = cand_v[j];
+        for (i = 0; i < W; i++) {
+            child_cov[i] = covered[i] | s->cover[v * W + i];
+            child_exc[i] = excluded[i];
+            child_cho[i] = chosen[i];
+        }
+        child_cho[v >> 6] |= BIT(v);
+        rec(s, depth + 1, size + 1);
+        excluded[v >> 6] |= BIT(v);
+        if (size + need >= s->best_size)
+            return;
+    }
+}
+
+/* the W words of mask as one Python int, via a hex string */
+static PyObject *mask_to_int(const u64 *mask, size_t W)
+{
+    PyObject *result;
+    size_t i;
+    char *hex = PyMem_Malloc(16 * W + 1);
+    if (hex == NULL)
+        return PyErr_NoMemory();
+    for (i = 0; i < W; i++)
+        snprintf(hex + 16 * i, 17, "%016llx", mask[W - 1 - i]);
+    result = PyLong_FromString(hex, NULL, 16);
+    PyMem_Free(hex);
+    return result;
+}
+
+static PyObject *solve_cover(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n_arg, m_arg, t;
+    PyObject *offsets, *seq, *witness, *result = NULL;
+    Search s;
+    size_t n, W, i, v, y, depth_cap, *offs = NULL;
+
+    (void)self;
+    if (!PyArg_ParseTuple(args, "nO:solve_cover", &n_arg, &offsets))
+        return NULL;
+    if (n_arg < 1) {
+        PyErr_SetString(PyExc_ValueError, "modulus must be positive");
+        return NULL;
+    }
+    seq = PySequence_Fast(offsets, "offsets must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    m_arg = PySequence_Fast_GET_SIZE(seq);
+    if (m_arg == 0) {
+        PyErr_SetString(PyExc_ValueError, "offsets must be nonempty");
+        Py_DECREF(seq);
+        return NULL;
+    }
+
+    memset(&s, 0, sizeof s);
+    n = s.n = (size_t)n_arg;
+    s.m = (size_t)m_arg;
+    W = s.W = (n + 63) >> 6;
+    s.cand_cap = s.m < n ? s.m : n;
+
+    /* offsets reduced into [0, n) as Python's % does, so no index leaves
+       the tables whatever the caller passes */
+    offs = PyMem_Calloc(s.m, sizeof(size_t));
+    if (offs == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < s.m; i++) {
+        t = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(seq, i));
+        if (t == -1 && PyErr_Occurred())
+            goto done;
+        t %= n_arg;
+        offs[i] = (size_t)(t < 0 ? t + n_arg : t);
+    }
+
+    s.cover = calloc2(n, W, sizeof(u64));
+    s.dom = calloc2(n, W, sizeof(u64));
+    s.full = calloc(W, sizeof(u64));
+    s.sel = calloc(W, sizeof(u64));
+    s.best = calloc(W, sizeof(u64));
+    if (!(s.cover && s.dom && s.full && s.sel && s.best)) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (v = 0; v < n; v++) {
+        for (i = 0; i < s.m; i++) {
+            y = (v + offs[i]) % n;
+            s.cover[v * W + (y >> 6)] |= BIT(y);
+            y = (v + n - offs[i]) % n;
+            s.dom[v * W + (y >> 6)] |= BIT(y);
+        }
+    }
+    for (i = 0; i < (n >> 6); i++)
+        s.full[i] = ~0ULL;
+    if (n & 63)
+        s.full[n >> 6] = BIT(n) - 1;
+
+    /* sel is free until the search starts, so the greedy pass uses it */
+    greedy(&s, s.sel);
+
+    /* a node at depth k has size k + 1 and children only below best_size */
+    depth_cap = s.best_size + 2;
+    s.cov = calloc2(depth_cap, W, sizeof(u64));
+    s.exc = calloc2(depth_cap, W, sizeof(u64));
+    s.cho = calloc2(depth_cap, W, sizeof(u64));
+    s.cand_v = calloc2(depth_cap, s.cand_cap, sizeof(size_t));
+    s.cand_g = calloc2(depth_cap, s.cand_cap, sizeof(size_t));
+    if (!(s.cov && s.exc && s.cho && s.cand_v && s.cand_g)) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    /* fix vertex 0 in the witness: some rotation of any cover contains it */
+    memcpy(s.cov, s.cover, W * sizeof(u64));
+    s.cho[0] = 1;
+    rec(&s, 0, 1);
+
+    witness = mask_to_int(s.best, W);
+    if (witness != NULL)
+        result = Py_BuildValue("(nNL)", (Py_ssize_t)s.best_size, witness, s.explored);
+
+done:
+    PyMem_Free(offs);
+    search_free(&s);
+    Py_DECREF(seq);
+    return result;
+}
+
+static PyMethodDef core_methods[] = {
+    {"solve_cover", solve_cover, METH_VARARGS,
+     "solve_cover(n, offsets) -> (size, witness, explored)\n\n"
+     "Minimum |W|, a witness bitmask, and the node count of the search."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef core_module = {
+    PyModuleDef_HEAD_INIT,
+    "_core",
+    "Compiled twin of domkit._core_py: exact minimum covering by cyclic shifts.",
+    -1,
+    core_methods,
+    NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit__core(void)
+{
+    return PyModule_Create(&core_module);
+}

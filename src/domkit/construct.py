@@ -28,6 +28,11 @@ from .model import (
 )
 
 
+# largest d or template period construct_best accepts; every template is
+# built as a tuple of blocks and a set of residues one period long
+MAX_PERIOD = 2**20
+
+
 def candidate_structures(dec: Decomposition) -> list[BlockStructure]:
     """The three templates instantiated at (d, k, e); d-runs vanish at k=1."""
     d, k, e = dec.d, dec.k, dec.e
@@ -66,13 +71,19 @@ def verify_efficient(pset: PeriodicSet, steps: DifferenceSet) -> bool:
 
 def construct_best(d: int, s: int) -> tuple[PeriodicSet, RatioResult]:
     """A verified periodic dominating set whose density is the exact ratio."""
+    if d > MAX_PERIOD:
+        raise ValueError(f"d = {d} above the construction limit {MAX_PERIOD}")
     result = domination_ratio(d, s)
+    dec = result.decomposition
+    # the longest template, (d^(k-1), d+e, d^(k-1), 1^e), has this period
+    if dec is not None and 2 * d * dec.k - d + 2 * dec.e > MAX_PERIOD:
+        raise ValueError(f"template period for s = {s} above the construction limit {MAX_PERIOD}")
     steps = family_set(d, s)
     if result.case is RatioCase.EDS_MOD:
         pset = PeriodicSet(d, frozenset({0}))
     else:
         pset = None
-        for blocks in candidate_structures(result.decomposition):
+        for blocks in candidate_structures(dec):
             cand = block_to_periodic(blocks)
             if density(cand) == result.value:
                 pset = cand

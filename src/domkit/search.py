@@ -17,7 +17,11 @@ from fractions import Fraction
 from .construct import construct_best, verify_dominating
 from .formula import RatioResult, family_set
 from .model import ConsistencyError, DifferenceSet, PeriodicSet
-from .solver import gamma_exact, reduce_mod
+from .solver import MAX_MODULUS, gamma_exact, reduce_mod
+
+# int-to-str conversion refuses more than 4300 digits, so a larger period
+# bound is left as c*2^c; 2^14285 > 10^4300, so a huge c never forms 2^c
+_DECIMAL_LIMIT = 10**4300
 
 
 @dataclass(frozen=True)
@@ -42,10 +46,25 @@ class ConsistencyReport:
     violations: tuple[str, ...]
 
 
+def _span(steps: DifferenceSet) -> int:
+    return max(max(steps.elements), 0) - min(min(steps.elements), 0)
+
+
 def period_bound(steps: DifferenceSet) -> tuple[int, int]:
     """(c, c * 2^c) where c is the span of the step set together with 0."""
-    c = max(max(steps.elements), 0) - min(min(steps.elements), 0)
+    c = _span(steps)
     return c, c * 2**c
+
+
+def _cap_note(steps: DifferenceSet) -> str:
+    c = _span(steps)
+    bound = "c*2^c"
+    if c < 14_285 and c * 2**c < _DECIMAL_LIMIT:
+        bound += f" = {c * 2**c}"
+    return (
+        f"an optimal periodic dominating set has period at most {bound} "
+        f"(c = {c}, span of the steps with 0); reported only, never scanned"
+    )
 
 
 def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> SearchReport:
@@ -57,24 +76,21 @@ def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> Search
         raise ValueError("jobs must be 1: the period scan is serial")
     if max_period < 1:
         raise ValueError("max_period must be positive")
+    if max_period > MAX_MODULUS:
+        raise ValueError(f"max_period {max_period} above the solver limit {MAX_MODULUS}")
     certs = {p: gamma_exact(reduce_mod(steps, p)) for p in range(1, max_period + 1)}
     per_period = tuple((p, cert.gamma, Fraction(cert.gamma, p)) for p, cert in certs.items())
     best_p, _, best_ratio = min(per_period, key=lambda row: (row[2], row[0]))
     witness = PeriodicSet(best_p, certs[best_p].witness)
     if not verify_dominating(witness, steps):
         raise ConsistencyError("scan produced a non-dominating witness")
-    c, bound = period_bound(steps)
-    note = (
-        f"an optimal periodic dominating set has period at most c*2^c = {bound} "
-        f"(c = {c}, span of the steps with 0); reported only, never scanned"
-    )
     return SearchReport(
         best_ratio=best_ratio,
         best_period=best_p,
         best_witness=witness,
         per_period=per_period,
         cap=max_period,
-        theoretical_cap_note=note,
+        theoretical_cap_note=_cap_note(steps),
     )
 
 

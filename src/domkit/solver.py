@@ -1,8 +1,8 @@
 """Exact domination numbers of circulant digraphs.
 
 gamma_exact runs a branch-and-bound kernel over coverage bitmasks.  The
-kernel is the compiled extension (domkit._core, Cython) if it imports,
-else its pure-Python twin (domkit._core_py).  gamma_bruteforce is a
+kernel is the C extension (domkit._core) if it imports, else its
+pure-Python twin (domkit._core_py).  gamma_bruteforce is a
 deliberately naive oracle that shares no search logic with the kernel:
 it tries every subset in increasing cardinality order.
 """
@@ -22,6 +22,16 @@ except ImportError:  # extension not built; pure fallback
     from . import _core_py as _kernel
 
     KERNEL = "pure"
+
+
+# largest modulus gamma_exact and perfect_code_exists accept: the kernels'
+# n-by-n bit tables take about n^2 / 4 bytes, 16 MB here
+MAX_MODULUS = 2**13
+
+
+def _check_modulus(n: int) -> None:
+    if n > MAX_MODULUS:
+        raise ValueError(f"modulus {n} above the solver limit {MAX_MODULUS}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,7 @@ _gamma_cache: dict[tuple[int, tuple[int, ...]], GammaCertificate] = {}
 def gamma_exact(inst: CirculantInstance) -> GammaCertificate:
     """Exact domination number with witness; results are memoized, so the
     function stays pure while repeated scans get cheap."""
+    _check_modulus(inst.modulus)
     offsets = _offsets(inst)
     key = (inst.modulus, offsets)
     cert = _gamma_cache.get(key)
@@ -131,6 +142,7 @@ def perfect_code_exists(inst: CirculantInstance) -> frozenset[int] | None:
     vertex covers one target twice and no perfect code can exist.
     """
     n = inst.modulus
+    _check_modulus(n)
     counts = inst.counts()
     if any(c > 1 for c in counts.values()):
         return None
@@ -146,18 +158,27 @@ def perfect_code_exists(inst: CirculantInstance) -> frozenset[int] | None:
         cover.append(mask)
     full = (1 << n) - 1
 
-    # depth-first over "which vertex covers the lowest uncovered target",
-    # smallest vertex first; an explicit stack because the depth is n / m,
+    # depth-first over "which vertex covers the most constrained uncovered
+    # target": the one with the fewest vertices still able to cover it,
+    # lowest on ties; none left means backtrack, one cannot be beaten.
+    # Smallest vertex first; an explicit stack because the depth is n / m,
     # past Python's recursion limit at n = 3000
     stack = [(0, ())]
     while stack:
         covered, acc = stack.pop()
         if covered == full:
             return frozenset(acc)
-        low = (~covered & full) & -(~covered & full)
-        x = low.bit_length() - 1
-        for v in sorted(((x - t) % n for t in offsets), reverse=True):
-            cv = cover[v]
-            if not cv & covered:
-                stack.append((covered | cv, acc + (v,)))
+        best = None
+        rem = ~covered & full
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            x = low.bit_length() - 1
+            cands = [v for v in ((x - t) % n for t in offsets) if not cover[v] & covered]
+            if best is None or len(cands) < len(best):
+                best = cands
+                if len(best) <= 1:
+                    break
+        for v in sorted(best, reverse=True):
+            stack.append((covered | cover[v], acc + (v,)))
     return None

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import domkit.cli as cli
 import domkit.solver as solver
@@ -224,3 +228,80 @@ def test_repeat_invocations_byte_identical(capsys):
     first = run(capsys, "table", "--which", "d5", "--k-max", "3")
     second = run(capsys, "table", "--which", "d5", "--k-max", "3")
     assert first == second
+
+
+HUGE = 99999999999999999999
+
+
+@pytest.mark.parametrize(
+    "steps, bound",
+    [
+        ("1,4", "c*2^c = 64 (c = 4,"),
+        ("1,20000", "c*2^c (c = 20000,"),
+        (f"1,{HUGE}", f"c*2^c (c = {HUGE},"),
+    ],
+)
+def test_search_cap_note_any_span(capsys, steps, bound):
+    # the decimal of c*2^c passes Python's 4300-digit str limit at c = 14271
+    code, out, err = run(capsys, "search", "--set", steps, "--max-period", "3")
+    assert code == 0, err
+    assert f"period at most {bound} span" in json.loads(out)["theoretical_cap_note"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", "--n", "100000", "--set", "1,2"),
+        ("search", "--set", "1,2", "--max-period", str(HUGE)),
+        ("construct", "--d", "3", "--s", str(HUGE)),
+        ("construct", "--d", str(HUGE), "--s", "-1"),
+    ],
+)
+def test_size_guards_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "limit" in err
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi) | st.sampled_from([HUGE, -HUGE])
+
+
+_step_sets = st.lists(_ints(-60, 60), max_size=4).map(lambda xs: ",".join(map(str, xs))) | st.sampled_from(
+    ["x", "1,,2", " "]
+)
+_flag = st.booleans()
+_argvs = st.one_of(
+    st.tuples(_ints(-4, 40), _ints(-60, 60), st.sampled_from([[], ["--format", "plain"]])).map(
+        lambda a: ["ratio", "--d", str(a[0]), "--s", str(a[1]), *a[2]]
+    ),
+    st.tuples(_ints(-4, 40), _ints(-60, 60), _flag).map(
+        lambda a: ["construct", "--d", str(a[0]), "--s", str(a[1])] + ["--verify"] * a[2]
+    ),
+    # "--set=" because argparse reads "--set -7,3" as a missing value
+    st.tuples(_ints(-2, 40), _step_sets).map(lambda a: ["gamma", "--n", str(a[0]), f"--set={a[1]}"]),
+    # the brute-force oracle is exponential: keep it below 13 or above its 24 cap
+    st.tuples(st.integers(-2, 12) | st.integers(25, 40), _step_sets).map(
+        lambda a: ["gamma", "--n", str(a[0]), f"--set={a[1]}", "--oracle"]
+    ),
+    st.tuples(_step_sets, _ints(-1, 12), _flag).map(
+        lambda a: ["search", f"--set={a[0]}", "--max-period", str(a[1])] + ["--normalize"] * a[2]
+    ),
+    st.tuples(st.sampled_from(["d4", "d5", "circulant"]), st.integers(-1, 3), _flag).map(
+        lambda a: ["table", "--which", a[0], "--k-max", str(a[1])] + ["--check"] * a[2]
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_argvs)
+def test_cli_fuzz_exits_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

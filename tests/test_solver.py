@@ -1,11 +1,18 @@
+import importlib.util
 import math
 import random
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 import domkit._core_py as core_py
 from domkit.model import CirculantInstance, DifferenceSet
 from domkit.solver import (
+    MAX_MODULUS,
     gamma_bruteforce,
     gamma_exact,
     kernel_name,
@@ -14,10 +21,28 @@ from domkit.solver import (
     verify_witness,
 )
 
-try:
-    import domkit._core as core_c
-except ImportError:
-    core_c = None
+CORE_C_SOURCE = Path(__file__).resolve().parent.parent / "src" / "domkit" / "_core.c"
+
+
+@pytest.fixture(scope="session")
+def core_c(tmp_path_factory):
+    """domkit._core freshly compiled from source, warnings as errors, or None
+    without a C compiler.  It is built into a temp dir, never into src/."""
+    # LDSHARED is the interpreter's own compile-and-link command for extensions
+    ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
+    if shutil.which(ldshared[0]) is None:
+        return None
+    target = tmp_path_factory.mktemp("core_c") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+    include = sysconfig.get_paths()["include"]
+    subprocess.run(
+        [*ldshared, "-fPIC", "-O3", "-Wall", "-Wextra", "-Werror",
+         "-I", include, str(CORE_C_SOURCE), "-o", str(target)],
+        check=True,
+    )
+    spec = importlib.util.spec_from_file_location("domkit._core", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_instance(rng, max_n=18, max_steps=4):
@@ -122,6 +147,8 @@ def test_verify_witness():
         (6, {2, 4}, True),
         (6, {0, 1}, False),  # double self-loop can never cover exactly once
         (1, set(), True),
+        (86, {54}, False),  # v -> v + 54 splits Z_86 into two odd cycles
+        (74, {40}, False),
     ],
 )
 def test_perfect_code_examples(n, connection, found):
@@ -163,27 +190,40 @@ def test_perfect_code_large_modulus():
     assert witness == frozenset(range(0, 3000, 3))
 
 
+def test_modulus_guard():
+    # the bit tables take about n^2 / 4 bytes; refuse before building them
+    inst = reduce_mod(DifferenceSet((1, 2)), MAX_MODULUS + 1)
+    with pytest.raises(ValueError, match="solver limit"):
+        gamma_exact(inst)
+    with pytest.raises(ValueError, match="solver limit"):
+        perfect_code_exists(inst)
+
+
 def test_kernel_dispatch():
     assert kernel_name() in ("compiled", "pure")
 
 
-@pytest.mark.skipif(core_c is None, reason="compiled kernel not built")
-def test_kernels_agree_bit_for_bit():
+def test_kernels_agree_bit_for_bit(core_c):
+    if core_c is None:
+        pytest.skip("no C compiler")
     rng = random.Random(13579)
     for _ in range(250):
         n = rng.randint(1, 34)
         conn = frozenset(rng.sample(range(1, max(2, n)), rng.randint(0, min(4, n - 1)))) if n > 1 else frozenset()
         offsets = sorted(conn | {0})
         assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, offsets)
+    # offsets outside [0, n), repeated or unsorted reduce as Python's % does
+    for _ in range(100):
+        n = rng.randint(1, 14)
+        offsets = [rng.randint(-200, 200) for _ in range(rng.randint(1, 5))]
+        assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, tuple(offsets))
 
 
-def test_kernel_rejects_bad_input():
-    with pytest.raises(ValueError):
-        core_py.solve_cover(0, [0])
-    with pytest.raises(ValueError):
-        core_py.solve_cover(5, [])
-    if core_c is not None:
-        with pytest.raises(ValueError):
-            core_c.solve_cover(0, [0])
-        with pytest.raises(ValueError):
-            core_c.solve_cover(5, [])
+def test_kernel_rejects_bad_input(core_c):
+    for kernel in (core_py, core_c):
+        if kernel is None:
+            continue
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            kernel.solve_cover(0, [0])
+        with pytest.raises(ValueError, match="offsets must be nonempty"):
+            kernel.solve_cover(5, [])
