@@ -43,6 +43,12 @@ static void *calloc2(size_t a, size_t b, size_t size)
     return calloc(a * b, size);
 }
 
+static int cmp_size(const void *a, const void *b)
+{
+    size_t x = *(const size_t *)a, y = *(const size_t *)b;
+    return (x > y) - (x < y);
+}
+
 static void search_free(Search *s)
 {
     free(s->cover);
@@ -71,26 +77,48 @@ static int is_full(const Search *s, const u64 *mask)
     return memcmp(mask, s->full, s->W * sizeof(u64)) == 0;
 }
 
-/* max fresh coverage, lowest vertex on ties; covd is zeroed W scratch */
-static void greedy(Search *s, u64 *covd)
+/* greedy cover of _core_py.greedy over the k distinct offsets dist: each
+   pick has the most fresh targets, the lowest vertex on ties.  gain[v] is
+   the number of targets of v not yet covered; gains only fall, so while
+   top stays the scan resumes at the last pick.  -1 if out of memory. */
+static int greedy(Search *s, const size_t *dist, size_t k)
 {
-    size_t i, v, bv, g, W = s->W;
-    s->best_size = 0;
-    while (!is_full(s, covd)) {
-        size_t bg = 0;
-        bv = s->n;
-        for (v = 0; v < s->n; v++) {
-            g = pop_masked(s->cover + v * W, covd, W);
-            if (bv == s->n || g > bg) {
-                bg = g;
-                bv = v;
-            }
-        }
-        s->best[bv >> 6] |= BIT(bv);
-        for (i = 0; i < W; i++)
-            covd[i] |= s->cover[bv * W + i];
-        s->best_size++;
+    size_t n = s->n, left = n, top = k, start = 0, bv, i, j, x;
+    size_t *gain = calloc(n, sizeof(size_t));
+    unsigned char *covd = calloc(n, 1);
+
+    if (gain == NULL || covd == NULL) {
+        free(gain);
+        free(covd);
+        return -1;
     }
+    for (i = 0; i < n; i++)
+        gain[i] = k;
+    s->best_size = 0;
+    while (left) {
+        for (bv = start; bv < n && gain[bv] != top; bv++)
+            ;
+        if (bv == n) {
+            top--;
+            start = 0;
+            continue;
+        }
+        start = bv;
+        s->best[bv >> 6] |= BIT(bv);
+        s->best_size++;
+        for (i = 0; i < k; i++) {
+            x = (bv + dist[i]) % n;
+            if (covd[x])
+                continue;
+            covd[x] = 1;
+            left--;
+            for (j = 0; j < k; j++)
+                gain[(x + n - dist[j]) % n]--;
+        }
+    }
+    free(gain);
+    free(covd);
+    return 0;
 }
 
 static void rec(Search *s, size_t depth, size_t size)
@@ -189,7 +217,7 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
     Py_ssize_t n_arg, m_arg, t;
     PyObject *offsets, *seq, *witness, *result = NULL;
     Search s;
-    size_t n, W, i, v, y, depth_cap, *offs = NULL;
+    size_t n, W, i, k, v, y, depth_cap, *offs = NULL;
 
     (void)self;
     if (!PyArg_ParseTuple(args, "nO:solve_cover", &n_arg, &offsets))
@@ -212,7 +240,6 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
     n = s.n = (size_t)n_arg;
     s.m = (size_t)m_arg;
     W = s.W = (n + 63) >> 6;
-    s.cand_cap = s.m < n ? s.m : n;
 
     /* offsets reduced into [0, n) as Python's % does, so no index leaves
        the tables whatever the caller passes */
@@ -228,7 +255,13 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
         t %= n_arg;
         offs[i] = (size_t)(t < 0 ? t + n_arg : t);
     }
+    /* the k distinct ones, ascending; the lower bound still divides by m */
+    qsort(offs, s.m, sizeof(size_t), cmp_size);
+    for (k = i = 0; i < s.m; i++)
+        if (k == 0 || offs[i] != offs[k - 1])
+            offs[k++] = offs[i];
 
+    s.cand_cap = k;  /* a target has k dominators */
     s.cover = calloc2(n, W, sizeof(u64));
     s.dom = calloc2(n, W, sizeof(u64));
     s.full = calloc(W, sizeof(u64));
@@ -239,7 +272,7 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
         goto done;
     }
     for (v = 0; v < n; v++) {
-        for (i = 0; i < s.m; i++) {
+        for (i = 0; i < k; i++) {
             y = (v + offs[i]) % n;
             s.cover[v * W + (y >> 6)] |= BIT(y);
             y = (v + n - offs[i]) % n;
@@ -251,10 +284,12 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
     if (n & 63)
         s.full[n >> 6] = BIT(n) - 1;
 
-    /* sel is free until the search starts, so the greedy pass uses it */
-    greedy(&s, s.sel);
+    if (greedy(&s, offs, k) < 0) {
+        PyErr_NoMemory();
+        goto done;
+    }
 
-    /* a node at depth k has size k + 1 and children only below best_size */
+    /* a node at depth h has size h + 1 and children only below best_size */
     depth_cap = s.best_size + 2;
     s.cov = calloc2(depth_cap, W, sizeof(u64));
     s.exc = calloc2(depth_cap, W, sizeof(u64));

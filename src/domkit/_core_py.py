@@ -4,6 +4,10 @@ solve_cover finds a smallest W within Z_n such that W + offsets = Z_n,
 by depth-first branch and bound over coverage bitmasks:
 
   - upper bound: deterministic greedy (max fresh coverage, lowest index)
+    in O(n * k) for k distinct offsets; it keeps each vertex's fresh
+    coverage, gain[v] == popcount(cover[v] & ~covered), and since gains
+    only fall, the scan for the next pick resumes at the last one and
+    still finds the pick a full rescan would (see greedy)
   - branch vertex: uncovered x with fewest allowed dominators
   - branch order: dominators by descending fresh coverage, then index
   - completeness: after a dominator is tried it is excluded from the rest
@@ -19,47 +23,68 @@ must return identical (size, witness, explored) triples.
 from __future__ import annotations
 
 
+def greedy(n: int, offsets) -> tuple[int, int]:
+    """Size and bitmask of the greedy cover: each pick is the vertex with
+    the most fresh (not yet covered) targets, the lowest one on ties.
+
+    gain[v] is the number of targets of v not yet covered, kept up to date
+    instead of recomputed.  Gains only fall, and top is the largest gain:
+    it drops only once no vertex has gain top.  While top stays, every
+    vertex below the last pick already has a gain below top, so the scan
+    for the next pick resumes there and still finds the lowest vertex with
+    the largest gain.  offsets may be unreduced or repeated.
+    """
+    distinct = sorted({t % n for t in offsets})
+    top = len(distinct)
+    gain = [top] * n
+    covd = bytearray(n)
+    left = n
+    mask = 0
+    size = 0
+    start = 0
+    while left:
+        try:
+            bv = gain.index(top, start)
+        except ValueError:
+            top -= 1
+            start = 0
+            continue
+        start = bv
+        mask |= 1 << bv
+        size += 1
+        for t in distinct:
+            x = (bv + t) % n
+            if not covd[x]:
+                covd[x] = 1
+                left -= 1
+                for u in distinct:
+                    gain[(x - u) % n] -= 1
+    return size, mask
+
+
 def solve_cover(n: int, offsets: list[int]) -> tuple[int, int, int]:
     """Minimum |W|, a witness bitmask, and the node count of the search.
 
-    offsets must be sorted, distinct, within [0, n), nonempty.
+    offsets are reduced mod n; repeats cover nothing new, but the lower
+    bound counts them, as len(offsets).
     """
     if n < 1:
         raise ValueError("modulus must be positive")
     if not offsets:
         raise ValueError("offsets must be nonempty")
     m = len(offsets)
-    cover = []
-    for v in range(n):
-        mask = 0
-        for t in offsets:
-            mask |= 1 << ((v + t) % n)
-        cover.append(mask)
-    dom = []
-    for x in range(n):
-        mask = 0
-        for t in offsets:
-            mask |= 1 << ((x - t) % n)
-        dom.append(mask)
+    distinct = sorted({t % n for t in offsets})
     full = (1 << n) - 1
+    # row v + 1 is row v rotated up by one bit
+    cover = [sum(1 << t for t in distinct)]
+    dom = [sum(1 << (-t % n) for t in distinct)]
+    for table in (cover, dom):
+        row = table[0]
+        for _ in range(n - 1):
+            row = ((row << 1) & full) | (row >> (n - 1))
+            table.append(row)
 
-    # greedy upper bound; every vertex covers itself or is covered by a
-    # shifted one, so this terminates with a valid witness
-    best_mask = 0
-    covd = 0
-    best_size = 0
-    while covd != full:
-        bv = 0
-        bg = -1
-        for v in range(n):
-            g = (cover[v] & ~covd).bit_count()
-            if g > bg:
-                bg = g
-                bv = v
-        best_mask |= 1 << bv
-        covd |= cover[bv]
-        best_size += 1
-
+    best_size, best_mask = greedy(n, distinct)
     explored = 0
 
     def rec(covered: int, excluded: int, chosen: int, size: int) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -229,6 +230,18 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _attach_set_values(argv: list[str]) -> list[str]:
+    """argparse reads "--set -7,3" as an option without a value, since
+    "-7,3" is not a plain negative number; pass it on as "--set=-7,3"."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--set" and re.match(r"-\d", arg):
+            out[-1] = "--set=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="domkit",
@@ -271,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_set_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ConsistencyError as exc:

@@ -128,9 +128,10 @@ def verify_witness(inst: CirculantInstance, witness: frozenset[int]) -> bool:
     for w in witness:
         if not 0 <= w < n:
             raise ValueError(f"witness residue {w} outside [0, {n})")
+    offsets = _offsets(inst)
     covered = set()
     for w in witness:
-        for t in _offsets(inst):
+        for t in offsets:
             covered.add((w + t) % n)
     return len(covered) == n
 

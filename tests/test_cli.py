@@ -121,6 +121,15 @@ def test_gamma_bad_set_exits_2(capsys, bad):
     assert err != ""
 
 
+@pytest.mark.parametrize("argv", [["gamma", "--n", "14"], ["search", "--max-period", "8"]])
+def test_set_starting_with_minus(capsys, argv):
+    # "-7,3,5" is not a plain negative number, so argparse alone would
+    # take it for an option and exit 2
+    code, out, err = run(capsys, *argv, "--set", "-7,3,5")
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--set=-7,3,5") == (0, out, "")
+
+
 def test_search_example(capsys):
     code, out, _ = run(capsys, "search", "--set", "1,4", "--max-period", "10")
     assert code == 0
@@ -279,14 +288,13 @@ _argvs = st.one_of(
     st.tuples(_ints(-4, 40), _ints(-60, 60), _flag).map(
         lambda a: ["construct", "--d", str(a[0]), "--s", str(a[1])] + ["--verify"] * a[2]
     ),
-    # "--set=" because argparse reads "--set -7,3" as a missing value
-    st.tuples(_ints(-2, 40), _step_sets).map(lambda a: ["gamma", "--n", str(a[0]), f"--set={a[1]}"]),
+    st.tuples(_ints(-2, 40), _step_sets).map(lambda a: ["gamma", "--n", str(a[0]), "--set", a[1]]),
     # the brute-force oracle is exponential: keep it below 13 or above its 24 cap
     st.tuples(st.integers(-2, 12) | st.integers(25, 40), _step_sets).map(
-        lambda a: ["gamma", "--n", str(a[0]), f"--set={a[1]}", "--oracle"]
+        lambda a: ["gamma", "--n", str(a[0]), "--set", a[1], "--oracle"]
     ),
     st.tuples(_step_sets, _ints(-1, 12), _flag).map(
-        lambda a: ["search", f"--set={a[0]}", "--max-period", str(a[1])] + ["--normalize"] * a[2]
+        lambda a: ["search", "--set", a[0], "--max-period", str(a[1])] + ["--normalize"] * a[2]
     ),
     st.tuples(st.sampled_from(["d4", "d5", "circulant"]), st.integers(-1, 3), _flag).map(
         lambda a: ["table", "--which", a[0], "--k-max", str(a[1])] + ["--check"] * a[2]

@@ -199,6 +199,43 @@ def test_modulus_guard():
         perfect_code_exists(inst)
 
 
+def rescanning_greedy(n, offsets):
+    """The greedy bound as first written: every pick rescans all n vertices."""
+    cover = []
+    for v in range(n):
+        mask = 0
+        for t in offsets:
+            mask |= 1 << ((v + t) % n)
+        cover.append(mask)
+    full = (1 << n) - 1
+    best_mask = covd = size = 0
+    while covd != full:
+        bv, bg = 0, -1
+        for v in range(n):
+            g = (cover[v] & ~covd).bit_count()
+            if g > bg:
+                bg, bv = g, v
+        best_mask |= 1 << bv
+        covd |= cover[bv]
+        size += 1
+    return size, best_mask
+
+
+def test_greedy_matches_rescanning_greedy():
+    rng = random.Random(24680)
+    for _ in range(2000):
+        n = rng.randint(1, 40)
+        # negative, unreduced and repeated offsets
+        offsets = [rng.randint(-100, 100) for _ in range(rng.randint(1, 6))]
+        offsets += rng.sample(offsets, rng.randint(0, len(offsets)))
+        assert core_py.greedy(n, offsets) == rescanning_greedy(n, offsets)
+    # the circulant workload's shapes: Z_n with steps 1..d-1
+    for d in range(2, 9):
+        n = rng.randint(400, 1600)
+        offsets = list(range(d))
+        assert core_py.greedy(n, offsets) == rescanning_greedy(n, offsets)
+
+
 def test_kernel_dispatch():
     assert kernel_name() in ("compiled", "pure")
 
@@ -217,6 +254,9 @@ def test_kernels_agree_bit_for_bit(core_c):
         n = rng.randint(1, 14)
         offsets = [rng.randint(-200, 200) for _ in range(rng.randint(1, 5))]
         assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, tuple(offsets))
+    # large moduli, where the greedy bound is nearly all the work
+    for n, offsets in [(1600, list(range(8))), (8192, [0, 1]), (8192, [0, 1, 2, 3])]:
+        assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, offsets)
 
 
 def test_kernel_rejects_bad_input(core_c):
