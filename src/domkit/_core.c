@@ -1,11 +1,20 @@
 /* Compiled kernel for exact minimum covering by cyclic shifts.
 
-   A line-by-line port of domkit._core_py.solve_cover onto 64-bit bitset
-   words: the same greedy upper bound, branch vertex, branch order,
-   tie-breaks and node count, so both kernels return identical
-   (size, witness, explored) triples.  Only Python.h and libc are used.
+   A port of domkit._core_py.solve_cover onto 64-bit bitset words: the
+   same greedy upper bound, branch vertex, branch order, tie-breaks and
+   node count, so both kernels return identical (size, witness, explored)
+   triples.  Only Python.h and libc are used.
    Every index is a size_t, so n * W cannot wrap for any n that fits in
-   memory. */
+   memory.
+
+   The search is a loop, not a recursion, so no host stack limits its
+   depth: the node of size h + 1 keeps its masks, branch order, next
+   child and uncovered count in row h of per-depth arrays.  As in the
+   pure kernel, each child is vetted from its fresh coverage before it is
+   entered; once one is cut by the bound, every later child, with no
+   more coverage, is cut too, so they are counted at once, as the
+   recursion counted them one by one.  A node with no child left is
+   skipped when the walk returns past it. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -33,6 +42,7 @@ typedef struct {
     u64 *sel;              /* W: candidates of the branch vertex */
     u64 *best;             /* W: best witness so far */
     size_t *cand_v, *cand_g;  /* depth_cap * cand_cap: branch order per depth */
+    size_t *left, *next, *count;  /* depth_cap: uncovered targets, next child, children */
 } Search;
 
 /* calloc of a * b elements, NULL if a * b or the allocation overflows */
@@ -61,6 +71,9 @@ static void search_free(Search *s)
     free(s->best);
     free(s->cand_v);
     free(s->cand_g);
+    free(s->left);
+    free(s->next);
+    free(s->count);
 }
 
 /* popcount(mask & ~minus) over W words */
@@ -70,11 +83,6 @@ static size_t pop_masked(const u64 *mask, const u64 *minus, size_t W)
     for (i = 0; i < W; i++)
         c += popcount(mask[i] & ~minus[i]);
     return c;
-}
-
-static int is_full(const Search *s, const u64 *mask)
-{
-    return memcmp(mask, s->full, s->W * sizeof(u64)) == 0;
 }
 
 /* greedy cover of _core_py.greedy over the k distinct offsets dist: each
@@ -121,44 +129,31 @@ static int greedy(Search *s, const size_t *dist, size_t k)
     return 0;
 }
 
-static void rec(Search *s, size_t depth, size_t size)
+/* branch vertex and branch order of the entered node at depth d: its
+   candidates by descending fresh coverage go to cand_v/cand_g at d, with
+   count[d] of them, none at a dead end */
+static void expand(Search *s, size_t d)
 {
     const size_t W = s->W;
-    u64 *covered = s->cov + depth * W;
-    u64 *excluded = s->exc + depth * W;
-    u64 *chosen = s->cho + depth * W;
-    u64 *child_cov = covered + W, *child_exc = excluded + W, *child_cho = chosen + W;
-    size_t *cand_v = s->cand_v + depth * s->cand_cap;
-    size_t *cand_g = s->cand_g + depth * s->cand_cap;
-    size_t i, j, w, x, v, g, cnt, need, nc = 0, bx_count = s->n + 1;
-
-    s->explored++;
-    if (is_full(s, covered)) {
-        if (size < s->best_size) {
-            s->best_size = size;
-            memcpy(s->best, chosen, W * sizeof(u64));
-        }
-        return;
-    }
-    need = (pop_masked(s->full, covered, W) + s->m - 1) / s->m;
-    if (size + need >= s->best_size)
-        return;
+    const u64 *covered = s->cov + d * W, *excluded = s->exc + d * W;
+    size_t *cand_v = s->cand_v + d * s->cand_cap;
+    size_t *cand_g = s->cand_g + d * s->cand_cap;
+    size_t i, j, w, x, v, g, cnt, nc = 0, bx_count = s->n + 1;
 
     /* uncovered target with the fewest allowed dominators, lowest first;
-       a single dominator cannot be beaten, so the scan stops there */
+       a single dominator cannot be beaten, so the scan stops there, and
+       none at all is a dead end */
     for (w = 0; w < W && bx_count > 1; w++) {
         u64 rem = s->full[w] & ~covered[w];
         while (rem) {
             x = (w << 6) + ctz(rem);
             rem &= rem - 1;
             cnt = pop_masked(s->dom + x * W, excluded, W);
-            if (cnt == 0)
-                return;
             if (cnt < bx_count) {
                 bx_count = cnt;
                 for (i = 0; i < W; i++)
                     s->sel[i] = s->dom[x * W + i] & ~excluded[i];
-                if (cnt == 1)
+                if (cnt <= 1)
                     break;
             }
         }
@@ -181,19 +176,62 @@ static void rec(Search *s, size_t depth, size_t size)
             nc++;
         }
     }
+    s->count[d] = nc;
+    s->next[d] = 0;
+}
 
-    for (j = 0; j < nc; j++) {
-        v = cand_v[j];
-        for (i = 0; i < W; i++) {
-            child_cov[i] = covered[i] | s->cover[v * W + i];
-            child_exc[i] = excluded[i];
-            child_cho[i] = chosen[i];
+/* the search below the root at depth 0, which must be entered: the walk
+   of _core_py.solve_cover, with the node at depth d of size d + 1 */
+static void search(Search *s)
+{
+    const size_t W = s->W, m = s->m;
+    size_t d = 0, i, j, v, cl;
+
+    expand(s, 0);
+    for (;;) {
+        /* vet the next child of the node at d from its gain */
+        i = s->next[d];
+        if (i < s->count[d]) {
+            v = s->cand_v[d * s->cand_cap + i];
+            cl = s->left[d] - s->cand_g[d * s->cand_cap + i];
+            if (cl && d + 2 + (cl + m - 1) / m < s->best_size) {
+                u64 *cov = s->cov + d * W, *exc = s->exc + d * W, *cho = s->cho + d * W;
+                s->explored++;
+                s->next[d] = i + 1;
+                for (j = 0; j < W; j++) {
+                    cov[W + j] = cov[j] | s->cover[v * W + j];
+                    exc[W + j] = exc[j];
+                    cho[W + j] = cho[j];
+                }
+                cho[W + (v >> 6)] |= BIT(v);
+                exc[v >> 6] |= BIT(v);
+                d++;
+                s->left[d] = cl;
+                expand(s, d);
+                continue;
+            }
+            if (cl) {
+                /* cut by the bound, and so is every later child */
+                s->explored += (long long)(s->count[d] - i);
+            } else {
+                /* a leaf is always below best_size: this node passed the
+                   bound with at least one target uncovered */
+                s->explored++;
+                s->best_size = d + 2;
+                memcpy(s->best, s->cho + d * W, W * sizeof(u64));
+                s->best[v >> 6] |= BIT(v);
+            }
         }
-        child_cho[v >> 6] |= BIT(v);
-        rec(s, depth + 1, size + 1);
-        excluded[v >> 6] |= BIT(v);
-        if (size + need >= s->best_size)
-            return;
+        /* this node is done: resume the nearest one with a child left
+           that the bound allows */
+        for (;;) {
+            if (d == 0)
+                return;
+            d--;
+            if (s->next[d] < s->count[d]
+                && d + 1 + (s->left[d] + m - 1) / m < s->best_size)
+                break;
+        }
     }
 }
 
@@ -289,22 +327,30 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
         goto done;
     }
 
-    /* a node at depth h has size h + 1 and children only below best_size */
-    depth_cap = s.best_size + 2;
+    /* an entered node at depth h has size h + 1 below best_size */
+    depth_cap = s.best_size;
     s.cov = calloc2(depth_cap, W, sizeof(u64));
     s.exc = calloc2(depth_cap, W, sizeof(u64));
     s.cho = calloc2(depth_cap, W, sizeof(u64));
     s.cand_v = calloc2(depth_cap, s.cand_cap, sizeof(size_t));
     s.cand_g = calloc2(depth_cap, s.cand_cap, sizeof(size_t));
-    if (!(s.cov && s.exc && s.cho && s.cand_v && s.cand_g)) {
+    s.left = calloc(depth_cap, sizeof(size_t));
+    s.next = calloc(depth_cap, sizeof(size_t));
+    s.count = calloc(depth_cap, sizeof(size_t));
+    if (!(s.cov && s.exc && s.cho && s.cand_v && s.cand_g && s.left && s.next && s.count)) {
         PyErr_NoMemory();
         goto done;
     }
 
-    /* fix vertex 0 in the witness: some rotation of any cover contains it */
+    /* fix vertex 0 in the witness: some rotation of any cover contains it;
+       if cover[0] is full, greedy's first pick, vertex 0, already made
+       best_size 1 and the bound stops at the root */
     memcpy(s.cov, s.cover, W * sizeof(u64));
     s.cho[0] = 1;
-    rec(&s, 0, 1);
+    s.left[0] = pop_masked(s.full, s.cov, W);
+    s.explored = 1;
+    if (1 + (s.left[0] + s.m - 1) / s.m < s.best_size)
+        search(&s);
 
     witness = mask_to_int(s.best, W);
     if (witness != NULL)

@@ -15,9 +15,22 @@ by depth-first branch and bound over coverage bitmasks:
   - lower bound: ceil(uncovered / len(offsets))
   - symmetry: the search fixes vertex 0 in W; rotating any cover moves
     some element onto 0, so the optimum is preserved
+  - explicit stack: the depth-first walk is one loop, so its depth (one
+    level per chosen vertex) never meets the recursion limit; a node gets
+    a stack frame only while it has a child left after the one entered;
+    no closure refers to itself, so the tables are freed on return, not
+    by the cyclic garbage collector
 
-The compiled twin in domkit._core follows this code line by line; both
-must return identical (size, witness, explored) triples.
+Each child is vetted from its fresh coverage g before it is entered: it
+has left - g targets uncovered, so it is a leaf when that is 0, and it is
+cut when size + 1 + ceil((left - g) / len(offsets)) reaches best_size.
+Only the rest are entered.  Each vetted child still counts as a node.
+Children come by descending g, so once one is cut every later one is cut
+too: best_size falls only at a leaf, and none was met in between.  Those
+children are counted at once, with the same count as entering each.
+
+The compiled twin in domkit._core walks the same tree; both must
+return identical (size, witness, explored) triples.
 """
 
 from __future__ import annotations
@@ -85,49 +98,76 @@ def solve_cover(n: int, offsets: list[int]) -> tuple[int, int, int]:
             table.append(row)
 
     best_size, best_mask = greedy(n, distinct)
-    explored = 0
-
-    def rec(covered: int, excluded: int, chosen: int, size: int) -> None:
-        nonlocal best_mask, best_size, explored
-        explored += 1
-        if covered == full:
-            if size < best_size:
-                best_size = size
-                best_mask = chosen
-            return
-        need = (n - covered.bit_count() + m - 1) // m
-        if size + need >= best_size:
-            return
-        rem = full & ~covered
+    # the root fixes vertex 0; if cover[0] is full, greedy's first pick,
+    # vertex 0, already made best_size 1 and the bound below stops here
+    covered = cover[0]
+    chosen = 1
+    size = 1
+    left = n - covered.bit_count()
+    need = (left + m - 1) // m
+    if size + need >= best_size:
+        return best_size, best_mask, 1
+    excluded = 0
+    explored = 1
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    while True:
+        # the current node is entered: not full and not cut by the bound
+        uncovered = full & ~covered
+        allowed = full & ~excluded
+        rem = uncovered
         bx_cands = 0
         bx_count = n + 1
         while rem:
             low = rem & -rem
             rem ^= low
-            x = low.bit_length() - 1
-            cands = dom[x] & ~excluded
+            cands = dom[low.bit_length() - 1] & allowed
             cnt = cands.bit_count()
-            if cnt == 0:
-                return
             if cnt < bx_count:
                 bx_count = cnt
                 bx_cands = cands
-                if cnt == 1:
+                if cnt <= 1:  # no dominator left is a dead end
                     break
         order = []
-        cb = bx_cands
-        while cb:
-            low = cb & -cb
-            cb ^= low
+        while bx_cands:
+            low = bx_cands & -bx_cands
+            bx_cands ^= low
             v = low.bit_length() - 1
-            order.append(((cover[v] & ~covered).bit_count(), v))
-        order.sort(key=lambda gv: (-gv[0], gv[1]))
-        exc = excluded
-        for _, v in order:
-            rec(covered | cover[v], exc, chosen | (1 << v), size + 1)
-            exc |= 1 << v
-            if size + need >= best_size:
-                return
-
-    rec(cover[0], 0, 1, 1)
-    return best_size, best_mask, explored
+            order.append((-(cover[v] & uncovered).bit_count(), v))
+        # (-gain, v) ascending: descending fresh coverage, then index
+        order.sort()
+        count = len(order)
+        i = 0
+        while True:
+            # vet child i from its gain before entering it
+            if i < count:
+                neg_gain, v = order[i]
+                cl = left + neg_gain
+                if cl and size + 1 + (cl + m - 1) // m < best_size:
+                    explored += 1
+                    if i + 1 < count:
+                        push((covered, chosen, size, left, need, order, count, i + 1,
+                              excluded | (1 << v)))
+                    covered |= cover[v]
+                    chosen |= 1 << v
+                    size += 1
+                    left = cl
+                    need = (cl + m - 1) // m
+                    break
+                if cl:
+                    # cut by the bound, and so is every later child
+                    explored += count - i
+                else:
+                    # a leaf is always smaller than best_size: this node
+                    # passed the bound with need >= 1
+                    explored += 1
+                    best_size = size + 1
+                    best_mask = chosen | (1 << v)
+            # this node is done: resume the nearest one the bound allows
+            while stack:
+                covered, chosen, size, left, need, order, count, i, excluded = pop()
+                if size + need < best_size:
+                    break
+            else:
+                return best_size, best_mask, explored

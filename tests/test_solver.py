@@ -1,9 +1,11 @@
+import gc
 import importlib.util
 import math
 import random
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -236,6 +238,118 @@ def test_greedy_matches_rescanning_greedy():
         assert core_py.greedy(n, offsets) == rescanning_greedy(n, offsets)
 
 
+def recursive_solve_cover(n, offsets):
+    """solve_cover as first written: one recursive call per search node."""
+    m = len(offsets)
+    distinct = sorted({t % n for t in offsets})
+    full = (1 << n) - 1
+    cover = [sum(1 << t for t in distinct)]
+    dom = [sum(1 << (-t % n) for t in distinct)]
+    for table in (cover, dom):
+        row = table[0]
+        for _ in range(n - 1):
+            row = ((row << 1) & full) | (row >> (n - 1))
+            table.append(row)
+
+    best_size, best_mask = core_py.greedy(n, distinct)
+    explored = 0
+
+    def rec(covered, excluded, chosen, size):
+        nonlocal best_mask, best_size, explored
+        explored += 1
+        if covered == full:
+            if size < best_size:
+                best_size = size
+                best_mask = chosen
+            return
+        need = (n - covered.bit_count() + m - 1) // m
+        if size + need >= best_size:
+            return
+        rem = full & ~covered
+        bx_cands = 0
+        bx_count = n + 1
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            x = low.bit_length() - 1
+            cands = dom[x] & ~excluded
+            cnt = cands.bit_count()
+            if cnt == 0:
+                return
+            if cnt < bx_count:
+                bx_count = cnt
+                bx_cands = cands
+                if cnt == 1:
+                    break
+        order = []
+        cb = bx_cands
+        while cb:
+            low = cb & -cb
+            cb ^= low
+            v = low.bit_length() - 1
+            order.append(((cover[v] & ~covered).bit_count(), v))
+        order.sort(key=lambda gv: (-gv[0], gv[1]))
+        exc = excluded
+        for _, v in order:
+            rec(covered | cover[v], exc, chosen | (1 << v), size + 1)
+            exc |= 1 << v
+            if size + need >= best_size:
+                return
+
+    rec(cover[0], 0, 1, 1)
+    return best_size, best_mask, explored
+
+
+def test_solve_cover_matches_recursive_solve_cover():
+    rng = random.Random(97531)
+    for _ in range(2000):
+        n = rng.randint(1, 24)
+        # negative, unreduced and repeated offsets
+        offsets = [rng.randint(-100, 100) for _ in range(rng.randint(1, 6))]
+        offsets += rng.sample(offsets, rng.randint(0, len(offsets)))
+        assert core_py.solve_cover(n, offsets) == recursive_solve_cover(n, offsets)
+    # a deep tree: 151,050 nodes
+    assert core_py.solve_cover(30, [0, 1, 16]) == recursive_solve_cover(30, [0, 1, 16])
+
+
+def stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_search_ignores_recursion_limit(core_c):
+    # gamma = 250 chosen vertices, one search level each, under a limit of 50
+    n, offsets = 1250, [0, 1, 2, 3, -6]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)
+    try:
+        pure = core_py.solve_cover(n, offsets)
+        compiled = core_c.solve_cover(n, offsets) if core_c is not None else pure
+    finally:
+        sys.setrecursionlimit(limit)
+    size, mask, explored = pure
+    assert (size, explored) == (250, 508)
+    assert verify_witness(CirculantInstance(n, frozenset({1, 2, 3, n - 6})),
+                          frozenset(v for v in range(n) if mask >> v & 1))
+    assert compiled == pure
+
+
+def test_solve_cover_leaves_no_garbage():
+    # the search state must be freed on return, not by the cyclic collector
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        core_py.solve_cover(30, [0, 1, 16])
+        core_py.solve_cover(1600, list(range(8)))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_kernel_dispatch():
     assert kernel_name() in ("compiled", "pure")
 
@@ -257,6 +371,8 @@ def test_kernels_agree_bit_for_bit(core_c):
     # large moduli, where the greedy bound is nearly all the work
     for n, offsets in [(1600, list(range(8))), (8192, [0, 1]), (8192, [0, 1, 2, 3])]:
         assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, offsets)
+    # a deep search: 250 chosen vertices
+    assert core_py.solve_cover(1250, [0, 1, 2, 3, -6]) == core_c.solve_cover(1250, [0, 1, 2, 3, -6])
 
 
 def test_kernel_rejects_bad_input(core_c):
