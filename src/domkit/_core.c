@@ -14,7 +14,13 @@
    entered; once one is cut by the bound, every later child, with no
    more coverage, is cut too, so they are counted at once, as the
    recursion counted them one by one.  A node with no child left is
-   skipped when the walk returns past it. */
+   skipped when the walk returns past it.  The pure kernel resolves a
+   child at the last level (size best_size - 2) in place, without
+   entering it; this one enters it, and both count the same nodes.
+
+   The root needs only its uncovered count, so the n * W cover and dom
+   tables and the per-depth rows are allocated and filled only when the
+   greedy bound does not cut the root (prepare). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -235,6 +241,49 @@ static void search(Search *s)
     }
 }
 
+/* the tables and per-depth rows of a search that passes the root, with
+   the root at depth 0: vertex 0 chosen, its k targets dist covered.
+   -1 if out of memory. */
+static int prepare(Search *s, const size_t *dist, size_t k)
+{
+    const size_t n = s->n, W = s->W;
+    /* an entered node at depth h has size h + 1 below best_size */
+    const size_t depth_cap = s->best_size;
+    size_t i, v, y;
+
+    s->cover = calloc2(n, W, sizeof(u64));
+    s->dom = calloc2(n, W, sizeof(u64));
+    s->full = calloc(W, sizeof(u64));
+    s->sel = calloc(W, sizeof(u64));
+    s->cov = calloc2(depth_cap, W, sizeof(u64));
+    s->exc = calloc2(depth_cap, W, sizeof(u64));
+    s->cho = calloc2(depth_cap, W, sizeof(u64));
+    s->cand_v = calloc2(depth_cap, s->cand_cap, sizeof(size_t));
+    s->cand_g = calloc2(depth_cap, s->cand_cap, sizeof(size_t));
+    s->left = calloc(depth_cap, sizeof(size_t));
+    s->next = calloc(depth_cap, sizeof(size_t));
+    s->count = calloc(depth_cap, sizeof(size_t));
+    if (!(s->cover && s->dom && s->full && s->sel && s->cov && s->exc && s->cho
+          && s->cand_v && s->cand_g && s->left && s->next && s->count))
+        return -1;
+    for (v = 0; v < n; v++) {
+        for (i = 0; i < k; i++) {
+            y = (v + dist[i]) % n;
+            s->cover[v * W + (y >> 6)] |= BIT(y);
+            y = (v + n - dist[i]) % n;
+            s->dom[v * W + (y >> 6)] |= BIT(y);
+        }
+    }
+    for (i = 0; i < (n >> 6); i++)
+        s->full[i] = ~0ULL;
+    if (n & 63)
+        s->full[n >> 6] = BIT(n) - 1;
+    memcpy(s->cov, s->cover, W * sizeof(u64));
+    s->cho[0] = 1;
+    s->left[0] = n - k;
+    return 0;
+}
+
 /* the W words of mask as one Python int, via a hex string */
 static PyObject *mask_to_int(const u64 *mask, size_t W)
 {
@@ -255,7 +304,7 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
     Py_ssize_t n_arg, m_arg, t;
     PyObject *offsets, *seq, *witness, *result = NULL;
     Search s;
-    size_t n, W, i, k, v, y, depth_cap, *offs = NULL;
+    size_t n, W, i, k, *offs = NULL;
 
     (void)self;
     if (!PyArg_ParseTuple(args, "nO:solve_cover", &n_arg, &offsets))
@@ -300,57 +349,24 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
             offs[k++] = offs[i];
 
     s.cand_cap = k;  /* a target has k dominators */
-    s.cover = calloc2(n, W, sizeof(u64));
-    s.dom = calloc2(n, W, sizeof(u64));
-    s.full = calloc(W, sizeof(u64));
-    s.sel = calloc(W, sizeof(u64));
     s.best = calloc(W, sizeof(u64));
-    if (!(s.cover && s.dom && s.full && s.sel && s.best)) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (v = 0; v < n; v++) {
-        for (i = 0; i < k; i++) {
-            y = (v + offs[i]) % n;
-            s.cover[v * W + (y >> 6)] |= BIT(y);
-            y = (v + n - offs[i]) % n;
-            s.dom[v * W + (y >> 6)] |= BIT(y);
-        }
-    }
-    for (i = 0; i < (n >> 6); i++)
-        s.full[i] = ~0ULL;
-    if (n & 63)
-        s.full[n >> 6] = BIT(n) - 1;
-
-    if (greedy(&s, offs, k) < 0) {
+    if (s.best == NULL || greedy(&s, offs, k) < 0) {
         PyErr_NoMemory();
         goto done;
     }
 
-    /* an entered node at depth h has size h + 1 below best_size */
-    depth_cap = s.best_size;
-    s.cov = calloc2(depth_cap, W, sizeof(u64));
-    s.exc = calloc2(depth_cap, W, sizeof(u64));
-    s.cho = calloc2(depth_cap, W, sizeof(u64));
-    s.cand_v = calloc2(depth_cap, s.cand_cap, sizeof(size_t));
-    s.cand_g = calloc2(depth_cap, s.cand_cap, sizeof(size_t));
-    s.left = calloc(depth_cap, sizeof(size_t));
-    s.next = calloc(depth_cap, sizeof(size_t));
-    s.count = calloc(depth_cap, sizeof(size_t));
-    if (!(s.cov && s.exc && s.cho && s.cand_v && s.cand_g && s.left && s.next && s.count)) {
-        PyErr_NoMemory();
-        goto done;
-    }
-
-    /* fix vertex 0 in the witness: some rotation of any cover contains it;
-       if cover[0] is full, greedy's first pick, vertex 0, already made
-       best_size 1 and the bound stops at the root */
-    memcpy(s.cov, s.cover, W * sizeof(u64));
-    s.cho[0] = 1;
-    s.left[0] = pop_masked(s.full, s.cov, W);
+    /* fix vertex 0 in the witness: some rotation of any cover contains it.
+       It covers the k distinct offsets, so the root has n - k targets
+       uncovered; if that is none, greedy's first pick, vertex 0, already
+       made best_size 1.  The tables are built only past the root. */
     s.explored = 1;
-    if (1 + (s.left[0] + s.m - 1) / s.m < s.best_size)
+    if (1 + (n - k + s.m - 1) / s.m < s.best_size) {
+        if (prepare(&s, offs, k) < 0) {
+            PyErr_NoMemory();
+            goto done;
+        }
         search(&s);
+    }
 
     witness = mask_to_int(s.best, W);
     if (witness != NULL)

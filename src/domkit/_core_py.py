@@ -17,9 +17,13 @@ by depth-first branch and bound over coverage bitmasks:
     some element onto 0, so the optimum is preserved
   - explicit stack: the depth-first walk is one loop, so its depth (one
     level per chosen vertex) never meets the recursion limit; a node gets
-    a stack frame only while it has a child left after the one entered;
-    no closure refers to itself, so the tables are freed on return, not
-    by the cyclic garbage collector
+    a stack frame (its uncovered and allowed masks, branch order and next
+    child) only while it has a child left after the one entered; no
+    closure refers to itself, so the tables are freed on return, not by
+    the cyclic garbage collector
+  - set-up: the root needs only its uncovered count, n minus the distinct
+    offsets, so the n-row cover and dom tables are built only when the
+    greedy bound does not already cut the root
 
 Each child is vetted from its fresh coverage g before it is entered: it
 has left - g targets uncovered, so it is a leaf when that is 0, and it is
@@ -29,8 +33,28 @@ Children come by descending g, so once one is cut every later one is cut
 too: best_size falls only at a leaf, and none was met in between.  Those
 children are counted at once, with the same count as entering each.
 
-The compiled twin in domkit._core walks the same tree; both must
-return identical (size, witness, explored) triples.
+A child that passes the bound when best_size - size == 3 is at the last
+level: it has size best_size - 2, so of its own children only a leaf can
+pass the bound, and the first of them decides it.  Its children come by
+descending coverage, then index, so that first one is a leaf exactly
+when some allowed vertex covers all of the child's uncovered targets,
+and then it is the lowest such vertex.  So the child is resolved in
+place, without a frame or a branch order: one pass over its at most
+len(offsets) uncovered targets takes the branch vertex's candidate count
+(lowest target first, stopping at a count of 0 or 1, as an entered node
+does) and the AND of the targets' allowed dominators, whose lowest bit
+is the leaf.  If the pass stopped early at a single dominator, that
+vertex is a leaf only if it covers every uncovered target.  Entering
+would count:
+  - no leaf: the child and each of its candidates, all cut; then the
+    next child is vetted with this one excluded
+  - a leaf: the child and the leaf, which makes best_size = size + 2;
+    then, with need == 1, every later child is cut, and counted, as
+    above; with need > 1 this node is cut too and counts nothing more
+
+The compiled twin in domkit._core enters those last-level children
+instead; it walks the same tree and both must return identical (size,
+witness, explored) triples.
 """
 
 from __future__ import annotations
@@ -66,12 +90,14 @@ def greedy(n: int, offsets) -> tuple[int, int]:
         mask |= 1 << bv
         size += 1
         for t in distinct:
-            x = (bv + t) % n
+            x = bv + t
+            if x >= n:
+                x -= n
             if not covd[x]:
                 covd[x] = 1
                 left -= 1
                 for u in distinct:
-                    gain[(x - u) % n] -= 1
+                    gain[x - u] -= 1  # a negative index wraps mod n
     return size, mask
 
 
@@ -87,6 +113,16 @@ def solve_cover(n: int, offsets: list[int]) -> tuple[int, int, int]:
         raise ValueError("offsets must be nonempty")
     m = len(offsets)
     distinct = sorted({t % n for t in offsets})
+    best_size, best_mask = greedy(n, distinct)
+    # the root fixes vertex 0, which covers the distinct offsets; if that
+    # is everything, greedy's first pick, vertex 0, already made best_size
+    # 1 and the bound below stops here
+    size = 1
+    left = n - len(distinct)
+    need = (left + m - 1) // m
+    if size + need >= best_size:
+        return best_size, best_mask, 1
+
     full = (1 << n) - 1
     # row v + 1 is row v rotated up by one bit
     cover = [sum(1 << t for t in distinct)]
@@ -97,25 +133,18 @@ def solve_cover(n: int, offsets: list[int]) -> tuple[int, int, int]:
             row = ((row << 1) & full) | (row >> (n - 1))
             table.append(row)
 
-    best_size, best_mask = greedy(n, distinct)
-    # the root fixes vertex 0; if cover[0] is full, greedy's first pick,
-    # vertex 0, already made best_size 1 and the bound below stops here
-    covered = cover[0]
+    uncovered = full ^ cover[0]
+    allowed = full
     chosen = 1
-    size = 1
-    left = n - covered.bit_count()
-    need = (left + m - 1) // m
-    if size + need >= best_size:
-        return best_size, best_mask, 1
-    excluded = 0
     explored = 1
+    # a branch order key is (uncovered targets after v) << shift | v
+    shift = n.bit_length()
+    vmask = (1 << shift) - 1
     stack = []
     push = stack.append
     pop = stack.pop
     while True:
         # the current node is entered: not full and not cut by the bound
-        uncovered = full & ~covered
-        allowed = full & ~excluded
         rem = uncovered
         bx_cands = 0
         bx_count = n + 1
@@ -134,28 +163,60 @@ def solve_cover(n: int, offsets: list[int]) -> tuple[int, int, int]:
             low = bx_cands & -bx_cands
             bx_cands ^= low
             v = low.bit_length() - 1
-            order.append((-(cover[v] & uncovered).bit_count(), v))
-        # (-gain, v) ascending: descending fresh coverage, then index
+            order.append((left - (cover[v] & uncovered).bit_count()) << shift | v)
+        # ascending keys: descending fresh coverage, then index
         order.sort()
         count = len(order)
         i = 0
         while True:
             # vet child i from its gain before entering it
             if i < count:
-                neg_gain, v = order[i]
-                cl = left + neg_gain
+                key = order[i]
+                cl = key >> shift
+                v = key & vmask
                 if cl and size + 1 + (cl + m - 1) // m < best_size:
                     explored += 1
-                    if i + 1 < count:
-                        push((covered, chosen, size, left, need, order, count, i + 1,
-                              excluded | (1 << v)))
-                    covered |= cover[v]
-                    chosen |= 1 << v
-                    size += 1
-                    left = cl
-                    need = (cl + m - 1) // m
-                    break
-                if cl:
+                    if best_size - size != 3:
+                        if i + 1 < count:
+                            push((uncovered, chosen, size, left, need, order, count, i + 1,
+                                  allowed ^ (1 << v)))
+                        uncovered &= ~cover[v]
+                        chosen |= 1 << v
+                        size += 1
+                        left = cl
+                        need = (cl + m - 1) // m
+                        break
+                    # the child is at the last level: resolve it in place
+                    rest = uncovered & ~cover[v]
+                    rem = rest
+                    leaves = allowed
+                    bx_count = n + 1
+                    while rem:
+                        low = rem & -rem
+                        rem ^= low
+                        cands = dom[low.bit_length() - 1] & allowed
+                        leaves &= cands
+                        cnt = cands.bit_count()
+                        if cnt < bx_count:
+                            bx_count = cnt
+                            if cnt <= 1:
+                                break
+                    leaf = leaves & -leaves
+                    if leaf and rem and rest & ~cover[leaf.bit_length() - 1]:
+                        leaf = 0  # the one dominator left misses a target
+                    if not leaf:
+                        # every grandchild is cut: count them, try the next child
+                        explored += bx_count
+                        allowed ^= 1 << v
+                        i += 1
+                        continue
+                    explored += 1
+                    best_size = size + 2
+                    best_mask = chosen | (1 << v) | leaf
+                    if need == 1:
+                        # the later children are cut by the new best_size
+                        explored += count - i - 1
+                elif cl:
                     # cut by the bound, and so is every later child
                     explored += count - i
                 else:
@@ -166,7 +227,7 @@ def solve_cover(n: int, offsets: list[int]) -> tuple[int, int, int]:
                     best_mask = chosen | (1 << v)
             # this node is done: resume the nearest one the bound allows
             while stack:
-                covered, chosen, size, left, need, order, count, i, excluded = pop()
+                uncovered, chosen, size, left, need, order, count, i, allowed = pop()
                 if size + need < best_size:
                     break
             else:

@@ -68,12 +68,28 @@ def _offsets(inst: CirculantInstance) -> tuple[int, ...]:
     return tuple(sorted(inst.connection | {0}))
 
 
+# gamma_exact keeps certificates until their witnesses hold this many
+# residues in all, then drops the oldest first: one certificate at
+# MAX_MODULUS can hold 8192, a scan to period 32 keeps ~1,300 small ones
+MAX_CACHED_RESIDUES = 2**20
+
 _gamma_cache: dict[tuple[int, tuple[int, ...]], GammaCertificate] = {}
+_cached_residues = 0  # witness residues held in _gamma_cache
+
+
+def _remember(key: tuple[int, tuple[int, ...]], cert: GammaCertificate) -> None:
+    global _cached_residues
+    _gamma_cache[key] = cert
+    _cached_residues += len(cert.witness)
+    while _cached_residues > MAX_CACHED_RESIDUES and _gamma_cache:
+        oldest = _gamma_cache.pop(next(iter(_gamma_cache)))
+        _cached_residues -= len(oldest.witness)
 
 
 def gamma_exact(inst: CirculantInstance) -> GammaCertificate:
-    """Exact domination number with witness; results are memoized, so the
-    function stays pure while repeated scans get cheap."""
+    """Exact domination number with witness; results are memoized, up to
+    MAX_CACHED_RESIDUES witness residues, so the function stays pure while
+    repeated scans get cheap."""
     _check_modulus(inst.modulus)
     offsets = _offsets(inst)
     key = (inst.modulus, offsets)
@@ -84,7 +100,7 @@ def gamma_exact(inst: CirculantInstance) -> GammaCertificate:
         cert = GammaCertificate(size, witness, explored)
         if not verify_witness(inst, witness) or len(witness) != size:
             raise ConsistencyError(f"kernel returned an invalid witness for {key}")
-        _gamma_cache[key] = cert
+        _remember(key, cert)
     return cert
 
 

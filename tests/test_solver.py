@@ -7,11 +7,13 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import domkit._core_py as core_py
+from domkit import solver
 from domkit.model import CirculantInstance, DifferenceSet
 from domkit.solver import (
     MAX_MODULUS,
@@ -308,8 +310,27 @@ def test_solve_cover_matches_recursive_solve_cover():
         offsets = [rng.randint(-100, 100) for _ in range(rng.randint(1, 6))]
         offsets += rng.sample(offsets, rng.randint(0, len(offsets)))
         assert core_py.solve_cover(n, offsets) == recursive_solve_cover(n, offsets)
+    # the gamma benchmark's sizes, where nearly half the entered nodes are
+    # one level above the leaves, which the pure kernel resolves in place
+    for _ in range(150):
+        n = rng.randint(25, 32)
+        offsets = [0] + rng.sample(range(1, n), rng.randint(1, 4))
+        assert core_py.solve_cover(n, offsets) == recursive_solve_cover(n, offsets)
     # a deep tree: 151,050 nodes
     assert core_py.solve_cover(30, [0, 1, 16]) == recursive_solve_cover(30, [0, 1, 16])
+
+
+def test_root_cut_builds_no_tables():
+    # greedy's every other vertex meets the root's bound, so the search
+    # ends at the root without the n-row bit tables (about 9 MB here)
+    tracemalloc.start()
+    try:
+        result = core_py.solve_cover(8192, [0, 1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (4096, sum(1 << v for v in range(0, 8192, 2)), 1)
+    assert peak < 2**20
 
 
 def stack_depth():
@@ -348,6 +369,20 @@ def test_solve_cover_leaves_no_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_gamma_cache_drops_oldest_past_bound(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_CACHED_RESIDUES", 20)
+    monkeypatch.setattr(solver, "_gamma_cache", {})
+    monkeypatch.setattr(solver, "_cached_residues", 0)
+    insts = [reduce_mod(DifferenceSet((1,)), n) for n in range(10, 20)]
+    certs = [gamma_exact(inst) for inst in insts]  # gammas 5..10, 75 residues
+    held = sum(len(c.witness) for c in solver._gamma_cache.values())
+    assert held == solver._cached_residues <= 20
+    assert (10, (0, 1)) not in solver._gamma_cache
+    assert (19, (0, 1)) in solver._gamma_cache
+    assert gamma_exact(insts[0]) == certs[0]
+    assert sum(len(c.witness) for c in solver._gamma_cache.values()) <= 20
 
 
 def test_kernel_dispatch():
