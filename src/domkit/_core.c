@@ -8,19 +8,25 @@
    memory.
 
    The search is a loop, not a recursion, so no host stack limits its
-   depth: the node of size h + 1 keeps its masks, branch order, next
-   child and uncovered count in row h of per-depth arrays.  As in the
-   pure kernel, each child is vetted from its fresh coverage before it is
+   depth.  As in the pure kernel's frames, the node at depth h (size
+   h + 1) keeps its uncovered targets and allowed dominators, rows h of
+   unc and alw, its branch order (Child: ascending uncovered count after
+   the child, then vertex) and its Level: uncovered count, next child and
+   child count.  Entering a child copies both rows one depth down and
+   drops the child from the parent's allowed row.  No witness is kept per
+   depth: a leaf rebuilds it from vertex 0 and the child entered at each
+   depth.  Each child is vetted from its uncovered count before it is
    entered; once one is cut by the bound, every later child, with no
-   more coverage, is cut too, so they are counted at once, as the
-   recursion counted them one by one.  A node with no child left is
-   skipped when the walk returns past it.  The pure kernel resolves a
-   child at the last level (size best_size - 2) in place, without
-   entering it; this one enters it, and both count the same nodes.
+   fewer targets uncovered, is cut too, so they are counted at once, as
+   the recursion counted them one by one.  A node with no child left, or
+   cut by a best_size found below it, is left for its parent.  The pure
+   kernel resolves a child at the last level (size best_size - 2) in
+   place, without entering it; this one enters it, and both count the
+   same nodes.
 
    The root needs only its uncovered count, so the n * W cover and dom
-   tables and the per-depth rows are allocated and filled only when the
-   greedy bound does not cut the root (prepare). */
+   tables and the per-depth rows, one allocation, are made and filled
+   only when the greedy bound does not cut the root (prepare). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -38,17 +44,22 @@ static inline size_t ctz(u64 x) { return (size_t)__builtin_ctzll(x); }
 #define BIT(v) (1ULL << ((v) & 63))
 
 typedef struct {
-    size_t n, m, W;        /* modulus, offset count, words per mask */
+    size_t cl, v;          /* uncovered targets after entering v, and v */
+} Child;
+
+typedef struct {
+    size_t left, next, count;  /* uncovered targets, next child, children */
+} Level;
+
+typedef struct {
+    size_t n, m, W, k;     /* modulus, offset count, words per mask, distinct offsets */
     size_t best_size;
-    size_t cand_cap;       /* most dominators a target can have */
     long long explored;
     u64 *cover, *dom;      /* n * W: what v covers, what dominates x */
-    u64 *full;             /* W */
-    u64 *cov, *exc, *cho;  /* depth_cap * W: covered, excluded, chosen per depth */
-    u64 *sel;              /* W: candidates of the branch vertex */
+    u64 *unc, *alw;        /* depth_cap * W: uncovered, allowed per depth */
     u64 *best;             /* W: best witness so far */
-    size_t *cand_v, *cand_g;  /* depth_cap * cand_cap: branch order per depth */
-    size_t *left, *next, *count;  /* depth_cap: uncovered targets, next child, children */
+    Child *order;          /* depth_cap * k: branch order per depth */
+    Level *level;          /* depth_cap */
 } Search;
 
 /* calloc of a * b elements, NULL if a * b or the allocation overflows */
@@ -65,29 +76,12 @@ static int cmp_size(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-static void search_free(Search *s)
-{
-    free(s->cover);
-    free(s->dom);
-    free(s->full);
-    free(s->cov);
-    free(s->exc);
-    free(s->cho);
-    free(s->sel);
-    free(s->best);
-    free(s->cand_v);
-    free(s->cand_g);
-    free(s->left);
-    free(s->next);
-    free(s->count);
-}
-
-/* popcount(mask & ~minus) over W words */
-static size_t pop_masked(const u64 *mask, const u64 *minus, size_t W)
+/* popcount(a & b) over W words */
+static size_t pop_and(const u64 *a, const u64 *b, size_t W)
 {
     size_t i, c = 0;
     for (i = 0; i < W; i++)
-        c += popcount(mask[i] & ~minus[i]);
+        c += popcount(a[i] & b[i]);
     return c;
 }
 
@@ -95,9 +89,9 @@ static size_t pop_masked(const u64 *mask, const u64 *minus, size_t W)
    pick has the most fresh targets, the lowest vertex on ties.  gain[v] is
    the number of targets of v not yet covered; gains only fall, so while
    top stays the scan resumes at the last pick.  -1 if out of memory. */
-static int greedy(Search *s, const size_t *dist, size_t k)
+static int greedy(Search *s, const size_t *dist)
 {
-    size_t n = s->n, left = n, top = k, start = 0, bv, i, j, x;
+    size_t n = s->n, k = s->k, left = n, top = k, start = 0, bv, i, j, x;
     size_t *gain = calloc(n, sizeof(size_t));
     unsigned char *covd = calloc(n, 1);
 
@@ -108,7 +102,6 @@ static int greedy(Search *s, const size_t *dist, size_t k)
     }
     for (i = 0; i < n; i++)
         gain[i] = k;
-    s->best_size = 0;
     while (left) {
         for (bv = start; bv < n && gain[bv] != top; bv++)
             ;
@@ -135,137 +128,123 @@ static int greedy(Search *s, const size_t *dist, size_t k)
     return 0;
 }
 
-/* branch vertex and branch order of the entered node at depth d: its
-   candidates by descending fresh coverage go to cand_v/cand_g at d, with
-   count[d] of them, none at a dead end */
+/* branch order of the entered node at depth d: the allowed dominators of
+   its branch target, the uncovered target with the fewest of them (lowest
+   first), by ascending uncovered count after each; none at a dead end */
 static void expand(Search *s, size_t d)
 {
     const size_t W = s->W;
-    const u64 *covered = s->cov + d * W, *excluded = s->exc + d * W;
-    size_t *cand_v = s->cand_v + d * s->cand_cap;
-    size_t *cand_g = s->cand_g + d * s->cand_cap;
-    size_t i, j, w, x, v, g, cnt, nc = 0, bx_count = s->n + 1;
+    const u64 *unc = s->unc + d * W, *alw = s->alw + d * W, *bx = NULL;
+    Child *order = s->order + d * s->k, c;
+    Level *lv = s->level + d;
+    size_t j, w, x, cnt, bx_count = s->n + 1;
 
-    /* uncovered target with the fewest allowed dominators, lowest first;
-       a single dominator cannot be beaten, so the scan stops there, and
-       none at all is a dead end */
+    /* a single dominator cannot be beaten, so the scan stops there, and
+       none at all is a dead end; an entered node has a target uncovered */
     for (w = 0; w < W && bx_count > 1; w++) {
-        u64 rem = s->full[w] & ~covered[w];
+        u64 rem = unc[w];
         while (rem) {
             x = (w << 6) + ctz(rem);
             rem &= rem - 1;
-            cnt = pop_masked(s->dom + x * W, excluded, W);
+            cnt = pop_and(s->dom + x * W, alw, W);
             if (cnt < bx_count) {
                 bx_count = cnt;
-                for (i = 0; i < W; i++)
-                    s->sel[i] = s->dom[x * W + i] & ~excluded[i];
+                bx = s->dom + x * W;
                 if (cnt <= 1)
                     break;
             }
         }
     }
 
-    /* insertion by descending fresh coverage; vertices arrive in
-       ascending order, so ties keep the lower vertex first */
+    /* insertion by ascending cl; vertices arrive in ascending order, so
+       ties keep the lower vertex first */
+    lv->count = lv->next = 0;
     for (w = 0; w < W; w++) {
-        u64 cb = s->sel[w];
+        u64 cb = bx[w] & alw[w];
         while (cb) {
-            v = (w << 6) + ctz(cb);
+            c.v = (w << 6) + ctz(cb);
             cb &= cb - 1;
-            g = pop_masked(s->cover + v * W, covered, W);
-            for (j = nc; j > 0 && cand_g[j - 1] < g; j--) {
-                cand_g[j] = cand_g[j - 1];
-                cand_v[j] = cand_v[j - 1];
-            }
-            cand_g[j] = g;
-            cand_v[j] = v;
-            nc++;
+            c.cl = lv->left - pop_and(s->cover + c.v * W, unc, W);
+            for (j = lv->count; j > 0 && order[j - 1].cl > c.cl; j--)
+                order[j] = order[j - 1];
+            order[j] = c;
+            lv->count++;
         }
     }
-    s->count[d] = nc;
-    s->next[d] = 0;
 }
 
 /* the search below the root at depth 0, which must be entered: the walk
    of _core_py.solve_cover, with the node at depth d of size d + 1 */
 static void search(Search *s)
 {
-    const size_t W = s->W, m = s->m;
-    size_t d = 0, i, j, v, cl;
+    const size_t W = s->W, m = s->m, k = s->k;
+    size_t d = 0, h, j, v;
+    Child c;
 
     expand(s, 0);
     for (;;) {
-        /* vet the next child of the node at d from its gain */
-        i = s->next[d];
-        if (i < s->count[d]) {
-            v = s->cand_v[d * s->cand_cap + i];
-            cl = s->left[d] - s->cand_g[d * s->cand_cap + i];
-            if (cl && d + 2 + (cl + m - 1) / m < s->best_size) {
-                u64 *cov = s->cov + d * W, *exc = s->exc + d * W, *cho = s->cho + d * W;
-                s->explored++;
-                s->next[d] = i + 1;
-                for (j = 0; j < W; j++) {
-                    cov[W + j] = cov[j] | s->cover[v * W + j];
-                    exc[W + j] = exc[j];
-                    cho[W + j] = cho[j];
-                }
-                cho[W + (v >> 6)] |= BIT(v);
-                exc[v >> 6] |= BIT(v);
-                d++;
-                s->left[d] = cl;
-                expand(s, d);
-                continue;
-            }
-            if (cl) {
-                /* cut by the bound, and so is every later child */
-                s->explored += (long long)(s->count[d] - i);
-            } else {
-                /* a leaf is always below best_size: this node passed the
-                   bound with at least one target uncovered */
-                s->explored++;
-                s->best_size = d + 2;
-                memcpy(s->best, s->cho + d * W, W * sizeof(u64));
-                s->best[v >> 6] |= BIT(v);
-            }
-        }
-        /* this node is done: resume the nearest one with a child left
-           that the bound allows */
-        for (;;) {
+        /* a node with no child left, or cut by a best_size found since it
+           was entered, is done: resume its parent */
+        Level *lv = s->level + d;
+        if (lv->next == lv->count || d + 1 + (lv->left + m - 1) / m >= s->best_size) {
             if (d == 0)
                 return;
             d--;
-            if (s->next[d] < s->count[d]
-                && d + 1 + (s->left[d] + m - 1) / m < s->best_size)
-                break;
+            continue;
+        }
+        /* vet its next child from the child's uncovered count */
+        c = s->order[d * k + lv->next++];
+        if (c.cl && d + 2 + (c.cl + m - 1) / m < s->best_size) {
+            u64 *unc = s->unc + d * W, *alw = s->alw + d * W;
+            s->explored++;
+            for (j = 0; j < W; j++) {
+                unc[W + j] = unc[j] & ~s->cover[c.v * W + j];
+                alw[W + j] = alw[j];
+            }
+            alw[c.v >> 6] &= ~BIT(c.v);
+            d++;
+            s->level[d].left = c.cl;
+            expand(s, d);
+        } else if (c.cl) {
+            /* cut by the bound, and so is every later child */
+            s->explored += (long long)(lv->count - lv->next) + 1;
+            lv->next = lv->count;
+        } else {
+            /* a leaf is always below best_size: this node passed the
+               bound with a target uncovered, and now the bound cuts it.
+               The witness is vertex 0 and the child taken at each depth. */
+            s->explored++;
+            s->best_size = d + 2;
+            memset(s->best, 0, W * sizeof(u64));
+            s->best[0] = 1;
+            for (h = 0; h <= d; h++) {
+                v = s->order[h * k + s->level[h].next - 1].v;
+                s->best[v >> 6] |= BIT(v);
+            }
         }
     }
 }
 
 /* the tables and per-depth rows of a search that passes the root, with
    the root at depth 0: vertex 0 chosen, its k targets dist covered.
+   cover, dom, unc and alw share one allocation, freed through cover.
    -1 if out of memory. */
-static int prepare(Search *s, const size_t *dist, size_t k)
+static int prepare(Search *s, const size_t *dist)
 {
-    const size_t n = s->n, W = s->W;
+    const size_t n = s->n, W = s->W, k = s->k;
     /* an entered node at depth h has size h + 1 below best_size */
     const size_t depth_cap = s->best_size;
     size_t i, v, y;
 
-    s->cover = calloc2(n, W, sizeof(u64));
-    s->dom = calloc2(n, W, sizeof(u64));
-    s->full = calloc(W, sizeof(u64));
-    s->sel = calloc(W, sizeof(u64));
-    s->cov = calloc2(depth_cap, W, sizeof(u64));
-    s->exc = calloc2(depth_cap, W, sizeof(u64));
-    s->cho = calloc2(depth_cap, W, sizeof(u64));
-    s->cand_v = calloc2(depth_cap, s->cand_cap, sizeof(size_t));
-    s->cand_g = calloc2(depth_cap, s->cand_cap, sizeof(size_t));
-    s->left = calloc(depth_cap, sizeof(size_t));
-    s->next = calloc(depth_cap, sizeof(size_t));
-    s->count = calloc(depth_cap, sizeof(size_t));
-    if (!(s->cover && s->dom && s->full && s->sel && s->cov && s->exc && s->cho
-          && s->cand_v && s->cand_g && s->left && s->next && s->count))
+    /* depth_cap <= n, so n + depth_cap cannot wrap */
+    s->cover = calloc2(n + depth_cap, 2 * W, sizeof(u64));
+    s->order = calloc2(depth_cap, k, sizeof(Child));  /* a target has k dominators */
+    s->level = calloc(depth_cap, sizeof(Level));
+    if (!(s->cover && s->order && s->level))
         return -1;
+    s->dom = s->cover + n * W;
+    s->unc = s->dom + n * W;
+    s->alw = s->unc + depth_cap * W;
     for (v = 0; v < n; v++) {
         for (i = 0; i < k; i++) {
             y = (v + dist[i]) % n;
@@ -273,14 +252,12 @@ static int prepare(Search *s, const size_t *dist, size_t k)
             y = (v + n - dist[i]) % n;
             s->dom[v * W + (y >> 6)] |= BIT(y);
         }
+        /* row 0 of cover, vertex 0's targets, is complete from v = 0 on */
+        s->unc[v >> 6] |= BIT(v) & ~s->cover[v >> 6];
     }
-    for (i = 0; i < (n >> 6); i++)
-        s->full[i] = ~0ULL;
-    if (n & 63)
-        s->full[n >> 6] = BIT(n) - 1;
-    memcpy(s->cov, s->cover, W * sizeof(u64));
-    s->cho[0] = 1;
-    s->left[0] = n - k;
+    /* every vertex is allowed; bits past n meet no dom bit */
+    memset(s->alw, 0xff, W * sizeof(u64));
+    s->level[0].left = n - k;
     return 0;
 }
 
@@ -302,8 +279,8 @@ static PyObject *mask_to_int(const u64 *mask, size_t W)
 static PyObject *solve_cover(PyObject *self, PyObject *args)
 {
     Py_ssize_t n_arg, m_arg, t;
-    PyObject *offsets, *seq, *witness, *result = NULL;
-    Search s;
+    PyObject *offsets, *seq, *mod = NULL, *r, *witness, *result = NULL;
+    Search s = {0};
     size_t n, W, i, k, *offs = NULL;
 
     (void)self;
@@ -319,28 +296,32 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
     m_arg = PySequence_Fast_GET_SIZE(seq);
     if (m_arg == 0) {
         PyErr_SetString(PyExc_ValueError, "offsets must be nonempty");
-        Py_DECREF(seq);
-        return NULL;
+        goto done;
     }
 
-    memset(&s, 0, sizeof s);
     n = s.n = (size_t)n_arg;
     s.m = (size_t)m_arg;
     W = s.W = (n + 63) >> 6;
 
-    /* offsets reduced into [0, n) as Python's % does, so no index leaves
-       the tables whatever the caller passes */
+    /* offsets reduced into [0, n) by Python's own %, so no index leaves
+       the tables and no size overflows whatever the caller passes */
+    mod = PyLong_FromSsize_t(n_arg);
+    if (mod == NULL)
+        goto done;
     offs = PyMem_Calloc(s.m, sizeof(size_t));
     if (offs == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     for (i = 0; i < s.m; i++) {
-        t = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(seq, i));
+        r = PyNumber_Remainder(PySequence_Fast_GET_ITEM(seq, i), mod);
+        if (r == NULL)
+            goto done;
+        t = PyLong_AsSsize_t(r);
+        Py_DECREF(r);
         if (t == -1 && PyErr_Occurred())
             goto done;
-        t %= n_arg;
-        offs[i] = (size_t)(t < 0 ? t + n_arg : t);
+        offs[i] = (size_t)t;
     }
     /* the k distinct ones, ascending; the lower bound still divides by m */
     qsort(offs, s.m, sizeof(size_t), cmp_size);
@@ -348,9 +329,9 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
         if (k == 0 || offs[i] != offs[k - 1])
             offs[k++] = offs[i];
 
-    s.cand_cap = k;  /* a target has k dominators */
+    s.k = k;
     s.best = calloc(W, sizeof(u64));
-    if (s.best == NULL || greedy(&s, offs, k) < 0) {
+    if (s.best == NULL || greedy(&s, offs) < 0) {
         PyErr_NoMemory();
         goto done;
     }
@@ -361,7 +342,7 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
        made best_size 1.  The tables are built only past the root. */
     s.explored = 1;
     if (1 + (n - k + s.m - 1) / s.m < s.best_size) {
-        if (prepare(&s, offs, k) < 0) {
+        if (prepare(&s, offs) < 0) {
             PyErr_NoMemory();
             goto done;
         }
@@ -374,7 +355,11 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
 
 done:
     PyMem_Free(offs);
-    search_free(&s);
+    free(s.best);
+    free(s.cover);
+    free(s.order);
+    free(s.level);
+    Py_XDECREF(mod);
     Py_DECREF(seq);
     return result;
 }

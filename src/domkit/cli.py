@@ -120,14 +120,15 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _confirm(d: int, s: int, period: int, expected: int) -> str:
-    """Solver confirmation cell for a table row: gamma at the stated period."""
-    if period > CHECK_PERIOD_CAP:
+def _confirm(steps: DifferenceSet, n: int, expected: int) -> str:
+    """Solver confirmation cell for a table row: gamma(Z_n, steps), or "-"
+    above CHECK_PERIOD_CAP."""
+    if n > CHECK_PERIOD_CAP:
         return "-"
-    cert = gamma_exact(reduce_mod(family_set(d, s), period))
+    cert = gamma_exact(reduce_mod(steps, n))
     if cert.gamma != expected:
         raise ConsistencyError(
-            f"gamma({period}) = {cert.gamma}, expected {expected} for (d={d}, s={s})"
+            f"gamma(Z_{n}, {set(steps.elements)}) = {cert.gamma}, expected {expected}"
         )
     return str(cert.gamma)
 
@@ -182,7 +183,7 @@ def _emit_form_row(d, label, k, s, num, den, args) -> None:
     row = [label, str(k), str(s), format_ratio(value)]
     if args.check:
         row.append(str(den))
-        row.append(_confirm(d, s, den, num))
+        row.append(_confirm(family_set(d, s), den, num))
     print("\t".join(row))
 
 
@@ -208,15 +209,7 @@ def _emit_circulant_table(args) -> None:
 def _emit_circulant_row(kind, d, k, e, n, conn, gamma, args) -> None:
     row = [kind, str(d), str(k), e, str(n), ",".join(map(str, conn)), str(gamma)]
     if args.check:
-        if n > CHECK_PERIOD_CAP:
-            row.append("-")
-        else:
-            cert = gamma_exact(reduce_mod(DifferenceSet(conn), n))
-            if cert.gamma != gamma:
-                raise ConsistencyError(
-                    f"gamma(Z_{n}, {set(conn)}) = {cert.gamma}, expected {gamma}"
-                )
-            row.append(str(cert.gamma))
+        row.append(_confirm(DifferenceSet(conn), n, gamma))
     print("\t".join(row))
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -218,6 +219,20 @@ def test_exit_3_on_internal_disagreement(capsys, monkeypatch):
     assert "internal consistency failure" in err
     # the payload still lands on stdout for postmortems
     assert json.loads(out)["oracle_agrees"] is False
+
+
+@pytest.mark.parametrize("which", ["d4", "circulant"])
+def test_table_check_exits_3_on_wrong_gamma(capsys, monkeypatch, which):
+    gamma_exact = cli.gamma_exact
+
+    def wrong_gamma(inst):
+        cert = gamma_exact(inst)
+        return dataclasses.replace(cert, gamma=cert.gamma + 1)
+
+    monkeypatch.setattr(cli, "gamma_exact", wrong_gamma)
+    code, _, err = run(capsys, "table", "--which", which, "--k-max", "2", "--check")
+    assert code == 3
+    assert "internal consistency failure: gamma(Z_" in err
 
 
 def test_exit_3_on_invalid_kernel_witness(capsys, monkeypatch):

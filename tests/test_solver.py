@@ -1,6 +1,8 @@
 import gc
 import importlib.util
+import json
 import math
+import os
 import random
 import shlex
 import shutil
@@ -25,24 +27,31 @@ from domkit.solver import (
     verify_witness,
 )
 
-CORE_C_SOURCE = Path(__file__).resolve().parent.parent / "src" / "domkit" / "_core.c"
+SRC = Path(__file__).resolve().parent.parent / "src"
+CORE_C_SOURCE = SRC / "domkit" / "_core.c"
+# the interpreter's own compile-and-link command for extensions
+LDSHARED = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
+
+
+def compile_core(directory, *flags):
+    """Path of domkit._core compiled from source with flags into directory,
+    a temp dir, never src/."""
+    target = directory / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+    include = sysconfig.get_paths()["include"]
+    subprocess.run(
+        [*LDSHARED, "-fPIC", *flags, "-I", include, str(CORE_C_SOURCE), "-o", str(target)],
+        check=True,
+    )
+    return target
 
 
 @pytest.fixture(scope="session")
 def core_c(tmp_path_factory):
     """domkit._core freshly compiled from source, warnings as errors, or None
-    without a C compiler.  It is built into a temp dir, never into src/."""
-    # LDSHARED is the interpreter's own compile-and-link command for extensions
-    ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
-    if shutil.which(ldshared[0]) is None:
+    without a C compiler."""
+    if shutil.which(LDSHARED[0]) is None:
         return None
-    target = tmp_path_factory.mktemp("core_c") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
-    include = sysconfig.get_paths()["include"]
-    subprocess.run(
-        [*ldshared, "-fPIC", "-O3", "-Wall", "-Wextra", "-Werror",
-         "-I", include, str(CORE_C_SOURCE), "-o", str(target)],
-        check=True,
-    )
+    target = compile_core(tmp_path_factory.mktemp("core_c"), "-O3", "-Wall", "-Wextra", "-Werror")
     spec = importlib.util.spec_from_file_location("domkit._core", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -389,6 +398,13 @@ def test_kernel_dispatch():
     assert kernel_name() in ("compiled", "pure")
 
 
+WORD_BOUNDARY_CASES = [
+    (n, offsets)
+    for n in (63, 64, 65, 127, 128, 129, 191, 192, 193)
+    for offsets in ([0, 1, 2, 3, -6], [0, 1, 2, 7], [0, 1, 5])
+]
+
+
 def test_kernels_agree_bit_for_bit(core_c):
     if core_c is None:
         pytest.skip("no C compiler")
@@ -403,11 +419,62 @@ def test_kernels_agree_bit_for_bit(core_c):
         n = rng.randint(1, 14)
         offsets = [rng.randint(-200, 200) for _ in range(rng.randint(1, 5))]
         assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, tuple(offsets))
+    for n, offsets in [(5, [0, 2**70]), (7, [-(2**70), 3])]:
+        assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, offsets)
+    # searches past the root on masks of one to four 64-bit words
+    for n, offsets in WORD_BOUNDARY_CASES:
+        pure = core_py.solve_cover(n, offsets)
+        assert pure[2] > 1
+        assert pure == core_c.solve_cover(n, offsets)
     # large moduli, where the greedy bound is nearly all the work
     for n, offsets in [(1600, list(range(8))), (8192, [0, 1]), (8192, [0, 1, 2, 3])]:
         assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, offsets)
     # a deep search: 250 chosen vertices
     assert core_py.solve_cover(1250, [0, 1, 2, 3, -6]) == core_c.solve_cover(1250, [0, 1, 2, 3, -6])
+
+
+# run by a child interpreter with the sanitizer runtime preloaded:
+# argv is the sanitized module, src/ and the fixed cases as JSON
+SANITIZED_AGREEMENT = """
+import importlib.util, json, random, sys
+sys.path.insert(0, sys.argv[2])
+import domkit._core_py as core_py
+spec = importlib.util.spec_from_file_location("domkit._core", sys.argv[1])
+core_c = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(core_c)
+rng = random.Random(24680)
+cases = json.loads(sys.argv[3])
+for _ in range(300):
+    n = rng.randint(1, 40)
+    cases.append((n, [rng.randint(-100, 100) for _ in range(rng.randint(1, 5))]))
+for n, offsets in cases:
+    assert core_c.solve_cover(n, offsets) == core_py.solve_cover(n, offsets), (n, offsets)
+"""
+
+
+def test_core_c_clean_under_sanitizers(tmp_path):
+    # AddressSanitizer and UBSan, every report fatal; the interpreter is not
+    # instrumented, so the runtime is preloaded and leak checks, which
+    # would report CPython's own allocations, are off
+    if shutil.which(LDSHARED[0]) is None:
+        pytest.skip("no C compiler")
+    runtime = subprocess.run(
+        [LDSHARED[0], "-print-file-name=libasan.so"], capture_output=True, text=True
+    ).stdout.strip()
+    if not (os.path.isabs(runtime) and os.path.isfile(runtime)):
+        pytest.skip("no AddressSanitizer runtime")
+    target = compile_core(
+        tmp_path, "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+        "-fno-omit-frame-pointer", "-g", "-O1",
+    )
+    cases = WORD_BOUNDARY_CASES + [(1250, [0, 1, 2, 3, -6]), (8192, [0, 1])]
+    proc = subprocess.run(
+        [sys.executable, "-c", SANITIZED_AGREEMENT, str(target), str(SRC), json.dumps(cases)],
+        env=dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0"),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "runtime error" not in proc.stderr
 
 
 def test_kernel_rejects_bad_input(core_c):
