@@ -76,6 +76,8 @@ def cmd_construct(args) -> int:
 def cmd_gamma(args) -> int:
     steps = _parse_set(args.set)
     inst = reduce_mod(steps, args.n)
+    # the oracle first: past its size limit it raises before any solve
+    oracle = gamma_bruteforce(inst) if args.oracle else None
     cert = gamma_exact(inst)
     payload = {
         "n": args.n,
@@ -85,7 +87,6 @@ def cmd_gamma(args) -> int:
         "explored": cert.explored,
     }
     if args.oracle:
-        oracle = gamma_bruteforce(inst)
         payload["oracle"] = oracle
         payload["oracle_agrees"] = oracle == cert.gamma
         if oracle != cert.gamma:

@@ -10,6 +10,7 @@ it tries every subset in increasing cardinality order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .model import CirculantInstance, ConsistencyError, DifferenceSet
@@ -102,6 +103,60 @@ def gamma_exact(inst: CirculantInstance) -> GammaCertificate:
             raise ConsistencyError(f"kernel returned an invalid witness for {key}")
         _remember(key, cert)
     return cert
+
+
+# gamma_value keeps this many gamma values by affine class, then drops the
+# oldest first: ~5 MB with five offsets per key; a scan round to period 32
+# keeps ~600
+MAX_CACHED_CLASSES = 2**14
+
+_class_cache: dict[tuple[int, tuple[int, ...]], int] = {}
+
+
+def _class_key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
+    """Least sorted image of offsets T under x -> u*x + a mod n, u a unit.
+
+    If D + T covers Z_n, so does u*D + (u*T + a): gamma is the same across
+    the class.  No image holds a positive residue below g, the least
+    gcd(d, n) over differences d of T, and one starts (0, g), so only the
+    units with u*d = g mod n for such a d can give the least image.  For
+    one u, the images are the translates of sorted u*T to start at one of
+    its residues; they order as the rotations of its cyclic gap sequence,
+    and only those starting with gap g are tried.
+    """
+    diffs = {(x - y) % n for x in offsets for y in offsets if x != y}
+    g = min((math.gcd(d, n) for d in diffs), default=n)
+    m = n // g
+    best = (n,)
+    for d in diffs:
+        if math.gcd(d, n) != g:
+            continue
+        for u in range(pow(d // g, -1, m), n, m):
+            if math.gcd(u, n) == 1:
+                image = sorted(u * t % n for t in offsets)
+                gaps = [b - a for a, b in zip(image, image[1:])] + [image[0] + n - image[-1]]
+                for i, gap in enumerate(gaps):
+                    if gap == g:
+                        best = min(best, tuple(gaps[i:] + gaps[:i]))
+    return tuple(itertools.accumulate(best[:-1], initial=0))
+
+
+def gamma_value(inst: CirculantInstance) -> int:
+    """gamma alone, shared across affinely isomorphic instances: the
+    certificate gamma_exact holds for these very offsets, else the value
+    of an instance of the same affine class, else gamma_exact's, which is
+    then kept for the class, up to MAX_CACHED_CLASSES classes."""
+    offsets = _offsets(inst)
+    cert = _gamma_cache.get((inst.modulus, offsets))
+    if cert is not None:
+        return cert.gamma
+    key = (inst.modulus, _class_key(inst.modulus, offsets))
+    gamma = _class_cache.get(key)
+    if gamma is None:
+        gamma = _class_cache[key] = gamma_exact(inst).gamma
+        if len(_class_cache) > MAX_CACHED_CLASSES:
+            del _class_cache[next(iter(_class_cache))]
+    return gamma
 
 
 def _bits(mask: int):

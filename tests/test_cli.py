@@ -115,6 +115,15 @@ def test_gamma_oracle_size_limit_exits_2(capsys):
     assert "oracle size limit" in err
 
 
+def test_gamma_oracle_size_limit_exits_2_before_solving(capsys, monkeypatch):
+    def refuse(inst):
+        raise AssertionError("gamma_exact ran before the oracle's size check")
+
+    monkeypatch.setattr(cli, "gamma_exact", refuse)
+    code, out, err = run(capsys, "gamma", "--n", "1000", "--set", "1,2,7", "--oracle")
+    assert (code, out, err) == (2, "", "error: oracle size limit\n")
+
+
 @pytest.mark.parametrize("bad", ["1,x", "0", "1,,2", ""])
 def test_gamma_bad_set_exits_2(capsys, bad):
     code, _, err = run(capsys, "gamma", "--n", "5", "--set", bad)

@@ -114,6 +114,12 @@ def test_sign_symmetry_grid():
                 assert pos.case is neg.case
 
 
+def test_mirror_symmetry_grid():
+    # x -> (d - 2) - x maps {0, 1, ..., d - 2, s} onto {0, 1, ..., d - 2, d - 2 - s}
+    for d, s in valid_pairs(range(2, 13), range(-60, 61)):
+        assert domination_ratio(d, s).value == domination_ratio(d, d - 2 - s).value
+
+
 def test_range_bound_grid():
     for d, s in valid_pairs(range(2, 9), range(-60, 61)):
         value = domination_ratio(d, s).value

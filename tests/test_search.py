@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from domkit import solver
 from domkit.construct import verify_dominating
-from domkit.formula import domination_ratio
-from domkit.model import DifferenceSet
+from domkit.formula import domination_ratio, family_set
+from domkit.model import ConsistencyError, DifferenceSet, PeriodicSet
 from domkit.search import consistency_check, period_bound, search_ratio
 from domkit.solver import gamma_exact, reduce_mod
 
@@ -42,6 +43,43 @@ def test_search_report_internals():
     assert verify_dominating(report.best_witness, steps)
     assert report.best_witness.period == report.best_period
     assert "never scanned" in report.theoretical_cap_note
+
+
+@pytest.mark.parametrize("d, s", [(3, -14), (4, -3), (5, -14)])
+def test_search_ratio_matches_gamma_exact_reference(monkeypatch, empty_caches, d, s):
+    # x -> (d - 2) - x maps family_set(d, s) onto family_set(d, d - 2 - s),
+    # so the mirror, scanned second, shares gamma at every period
+    cap = 32
+    members = (s, d - 2 - s)
+    reports = [search_ratio(family_set(d, members[0]), cap)]
+    solved = []
+    solve_cover = solver._kernel.solve_cover
+
+    def counted(n, offsets):
+        solved.append(n)
+        return solve_cover(n, offsets)
+
+    monkeypatch.setattr(solver._kernel, "solve_cover", counted)
+    reports.append(search_ratio(family_set(d, members[1]), cap))
+    # the kernel runs for the best period's witness at most; the first scan
+    # holds it already where both members reduce alike, as -14 = 15 mod 29
+    assert solved in ([], [reports[1].best_period])
+    for member, report in zip(members, reports):
+        empty_caches()
+        steps = family_set(d, member)
+        certs = {p: gamma_exact(reduce_mod(steps, p)) for p in range(1, cap + 1)}
+        per_period = tuple((p, c.gamma, Fraction(c.gamma, p)) for p, c in certs.items())
+        best_p = min(per_period, key=lambda row: (row[2], row[0]))[0]
+        assert report.per_period == per_period
+        assert report.best_witness == PeriodicSet(best_p, certs[best_p].witness)
+
+
+def test_search_ratio_rejects_a_wrong_shared_gamma(empty_caches):
+    # a class value below gamma(Z_5, {0, 1, 4}) = 2 makes period 5 the best;
+    # gamma_exact's certificate there disagrees
+    solver._class_cache[(5, (0, 1, 2))] = 1
+    with pytest.raises(ConsistencyError, match="period 5"):
+        search_ratio(DifferenceSet((1, 4)), 8)
 
 
 def test_search_ratio_at_most_one():

@@ -21,6 +21,7 @@ from domkit.solver import (
     MAX_MODULUS,
     gamma_bruteforce,
     gamma_exact,
+    gamma_value,
     kernel_name,
     perfect_code_exists,
     reduce_mod,
@@ -380,10 +381,12 @@ def test_solve_cover_leaves_no_garbage():
             gc.enable()
 
 
-def test_gamma_cache_drops_oldest_past_bound(monkeypatch):
+def refuse(*args):
+    raise AssertionError("must not be called here")
+
+
+def test_gamma_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
     monkeypatch.setattr(solver, "MAX_CACHED_RESIDUES", 20)
-    monkeypatch.setattr(solver, "_gamma_cache", {})
-    monkeypatch.setattr(solver, "_cached_residues", 0)
     insts = [reduce_mod(DifferenceSet((1,)), n) for n in range(10, 20)]
     certs = [gamma_exact(inst) for inst in insts]  # gammas 5..10, 75 residues
     held = sum(len(c.witness) for c in solver._gamma_cache.values())
@@ -392,6 +395,63 @@ def test_gamma_cache_drops_oldest_past_bound(monkeypatch):
     assert (19, (0, 1)) in solver._gamma_cache
     assert gamma_exact(insts[0]) == certs[0]
     assert sum(len(c.witness) for c in solver._gamma_cache.values()) <= 20
+
+
+def test_class_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
+    monkeypatch.setattr(solver, "MAX_CACHED_CLASSES", 4)
+    insts = [reduce_mod(DifferenceSet((1,)), n) for n in range(10, 20)]
+    assert [gamma_value(inst) for inst in insts] == [(n + 1) // 2 for n in range(10, 20)]
+    assert list(solver._class_cache) == [(n, (0, 1)) for n in range(16, 20)]
+    monkeypatch.setattr(solver, "_gamma_cache", {})
+    assert gamma_value(insts[0]) == 5
+    assert list(solver._class_cache) == [(n, (0, 1)) for n in (17, 18, 19, 10)]
+
+
+def test_class_key_is_least_affine_image():
+    rng = random.Random(4181)
+    for _ in range(400):
+        n = rng.randint(1, 24)
+        offsets = tuple(sorted({0} | set(rng.sample(range(n), rng.randint(0, min(n, 6))))))
+        least = min(
+            tuple(sorted((u * t + a) % n for t in offsets))
+            for u in range(n)
+            if math.gcd(u, n) == 1
+            for a in range(n)
+        )
+        assert solver._class_key(n, offsets) == least
+
+
+def affine_image(inst, u, y):
+    """inst with each offset t replaced by u * (t - y) mod n."""
+    n = inst.modulus
+    return CirculantInstance(n, frozenset(u * (t - y) % n for t in inst.connection | {0}))
+
+
+def test_gamma_value_is_shared_across_affine_images(monkeypatch, empty_caches):
+    rng = random.Random(6765)
+    for _ in range(200):
+        inst = random_instance(rng, max_n=32)
+        n = inst.modulus
+        gamma = gamma_value(inst)  # one in four is served by an earlier instance
+        assert gamma == gamma_exact(inst).gamma
+        if n <= 12:
+            assert gamma == gamma_bruteforce(inst)
+        u = rng.choice([u for u in range(n) if math.gcd(u, n) == 1])
+        image = affine_image(inst, u, rng.choice(sorted(inst.connection | {0})))
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "gamma_exact", refuse)
+            assert gamma_value(image) == gamma
+        assert gamma_exact(image).gamma == gamma
+
+
+def test_gamma_exact_computes_no_class_key(monkeypatch, empty_caches):
+    monkeypatch.setattr(solver, "_class_key", refuse)
+    for n, steps, gamma in [(14, (1, 2, 8), 4), (30, (1, 2, -14), 8), (25, (3,), 13)]:
+        inst = reduce_mod(DifferenceSet(steps), n)
+        cert = gamma_exact(inst)
+        assert cert.gamma == gamma
+        assert verify_witness(inst, cert.witness)
+        assert gamma_exact(inst) == cert
 
 
 def test_kernel_dispatch():
