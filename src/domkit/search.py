@@ -70,10 +70,11 @@ def _cap_note(steps: DifferenceSet) -> str:
 def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> SearchReport:
     """Scan periods 1..max_period and report the best certified ratio.
 
-    Each period's gamma comes from gamma_value, so a quotient affinely
-    isomorphic to one solved earlier in the process is not solved again;
-    within one scan every modulus differs, so such hits come from earlier
-    scans.  Only best_period's witness is needed, and gamma_exact gives it.
+    Each period's gamma comes from gamma_value, so a quotient that
+    x -> +-x + a maps onto one solved earlier in the process is not solved
+    again; within one scan every modulus differs, so such hits come from
+    earlier scans.  Only best_period's witness is needed, and gamma_exact
+    gives it.
     The scan is serial; jobs is kept for old callers and must be 1.
     """
     if jobs != 1:

@@ -10,7 +10,6 @@ it tries every subset in increasing cardinality order.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .model import CirculantInstance, ConsistencyError, DifferenceSet
@@ -105,57 +104,67 @@ def gamma_exact(inst: CirculantInstance) -> GammaCertificate:
     return cert
 
 
-# gamma_value keeps this many gamma values by affine class, then drops the
+# gamma_value keeps this many gamma values by class, then drops the
 # oldest first: ~5 MB with five offsets per key; a scan round to period 32
-# keeps ~600
+# keeps ~700
 MAX_CACHED_CLASSES = 2**14
 
+# (n, sorted offsets of one member of a class) -> gamma of the class
 _class_cache: dict[tuple[int, tuple[int, ...]], int] = {}
+# per modulus met by gamma_value, the offsets of its first instance, which
+# stand in for their class key until a second instance comes; then None
+_unkeyed: dict[int, tuple[int, ...] | None] = {}
 
 
 def _class_key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
-    """Least sorted image of offsets T under x -> u*x + a mod n, u a unit.
+    """Least sorted image of the sorted offsets T under x -> +-x + a mod n.
 
-    If D + T covers Z_n, so does u*D + (u*T + a): gamma is the same across
-    the class.  No image holds a positive residue below g, the least
-    gcd(d, n) over differences d of T, and one starts (0, g), so only the
-    units with u*d = g mod n for such a d can give the least image.  For
-    one u, the images are the translates of sorted u*T to start at one of
-    its residues; they order as the rotations of its cyclic gap sequence,
-    and only those starting with gap g are tried.
+    If D + T covers Z_n, so does +-D + (+-T + a): gamma is the same
+    across the class.  The images that start at 0 are the partial sums of
+    the rotations of T's cyclic gap sequence, and of its reverse for -T;
+    they order as those rotations do.
     """
-    diffs = {(x - y) % n for x in offsets for y in offsets if x != y}
-    g = min((math.gcd(d, n) for d in diffs), default=n)
-    m = n // g
-    best = (n,)
-    for d in diffs:
-        if math.gcd(d, n) != g:
-            continue
-        for u in range(pow(d // g, -1, m), n, m):
-            if math.gcd(u, n) == 1:
-                image = sorted(u * t % n for t in offsets)
-                gaps = [b - a for a, b in zip(image, image[1:])] + [image[0] + n - image[-1]]
-                for i, gap in enumerate(gaps):
-                    if gap == g:
-                        best = min(best, tuple(gaps[i:] + gaps[:i]))
+    gaps = [b - a for a, b in zip(offsets, offsets[1:])] + [offsets[0] + n - offsets[-1]]
+    best = min(seq[i:] + seq[:i] for seq in (gaps, gaps[::-1]) for i in range(len(seq)))
     return tuple(itertools.accumulate(best[:-1], initial=0))
 
 
+def _keep_class(key: tuple[int, tuple[int, ...]], gamma: int) -> None:
+    _class_cache[key] = gamma
+    if len(_class_cache) > MAX_CACHED_CLASSES:
+        del _class_cache[next(iter(_class_cache))]
+
+
 def gamma_value(inst: CirculantInstance) -> int:
-    """gamma alone, shared across affinely isomorphic instances: the
-    certificate gamma_exact holds for these very offsets, else the value
-    of an instance of the same affine class, else gamma_exact's, which is
-    then kept for the class, up to MAX_CACHED_CLASSES classes."""
+    """gamma alone, shared across instances that a map x -> +-x + a
+    carries onto each other: the certificate gamma_exact holds for these
+    very offsets, else the value of an instance of the same class, else
+    gamma_exact's, which is then kept for the class, up to
+    MAX_CACHED_CLASSES classes.
+
+    The first instance at a modulus is kept under its own offsets, a
+    member of its class, and keyed only when a second instance at that
+    modulus comes; so a single period scan computes no class key.
+    """
+    n = inst.modulus
     offsets = _offsets(inst)
-    cert = _gamma_cache.get((inst.modulus, offsets))
+    cert = _gamma_cache.get((n, offsets))
     if cert is not None:
         return cert.gamma
-    key = (inst.modulus, _class_key(inst.modulus, offsets))
-    gamma = _class_cache.get(key)
+    if n not in _unkeyed:
+        _unkeyed[n] = key = offsets
+    else:
+        first = _unkeyed[n]
+        if first is not None:
+            _unkeyed[n] = None
+            gamma = _class_cache.pop((n, first), None)
+            if gamma is not None:
+                _keep_class((n, _class_key(n, first)), gamma)
+        key = _class_key(n, offsets)
+    gamma = _class_cache.get((n, key))
     if gamma is None:
-        gamma = _class_cache[key] = gamma_exact(inst).gamma
-        if len(_class_cache) > MAX_CACHED_CLASSES:
-            del _class_cache[next(iter(_class_cache))]
+        gamma = gamma_exact(inst).gamma
+        _keep_class((n, key), gamma)
     return gamma
 
 

@@ -12,6 +12,7 @@ def empty_caches(monkeypatch):
         monkeypatch.setattr(solver, "_gamma_cache", {})
         monkeypatch.setattr(solver, "_cached_residues", 0)
         monkeypatch.setattr(solver, "_class_cache", {})
+        monkeypatch.setattr(solver, "_unkeyed", {})
 
     empty()
     return empty

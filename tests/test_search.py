@@ -77,9 +77,23 @@ def test_search_ratio_matches_gamma_exact_reference(monkeypatch, empty_caches, d
 def test_search_ratio_rejects_a_wrong_shared_gamma(empty_caches):
     # a class value below gamma(Z_5, {0, 1, 4}) = 2 makes period 5 the best;
     # gamma_exact's certificate there disagrees
+    solver._unkeyed[5] = None
     solver._class_cache[(5, (0, 1, 2))] = 1
     with pytest.raises(ConsistencyError, match="period 5"):
         search_ratio(DifferenceSet((1, 4)), 8)
+
+
+def test_single_search_computes_no_class_key(monkeypatch, empty_caches):
+    # one scan meets each modulus once, so no class can hit yet
+    def refuse(*args):
+        raise AssertionError("a class key was computed")
+
+    monkeypatch.setattr(solver, "_class_key", refuse)
+    steps = DifferenceSet((1, 2, 3, -12))
+    report = search_ratio(steps, 30)
+    empty_caches()
+    gammas = [gamma_exact(reduce_mod(steps, p)).gamma for p in range(1, 31)]
+    assert report.per_period == tuple((p, g, Fraction(g, p)) for p, g in enumerate(gammas, 1))
 
 
 def test_search_ratio_at_most_one():

@@ -407,16 +407,13 @@ def test_class_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
     assert list(solver._class_cache) == [(n, (0, 1)) for n in (17, 18, 19, 10)]
 
 
-def test_class_key_is_least_affine_image():
+def test_class_key_is_least_mirror_image():
     rng = random.Random(4181)
     for _ in range(400):
         n = rng.randint(1, 24)
         offsets = tuple(sorted({0} | set(rng.sample(range(n), rng.randint(0, min(n, 6))))))
         least = min(
-            tuple(sorted((u * t + a) % n for t in offsets))
-            for u in range(n)
-            if math.gcd(u, n) == 1
-            for a in range(n)
+            tuple(sorted((u * t + a) % n for t in offsets)) for u in (1, -1) for a in range(n)
         )
         assert solver._class_key(n, offsets) == least
 
@@ -428,20 +425,23 @@ def affine_image(inst, u, y):
 
 
 def test_gamma_value_is_shared_across_affine_images(monkeypatch, empty_caches):
+    # an image under x -> +-x + a is in the same class and is served without
+    # a solve; under any other unit it may be solved, with the same gamma
     rng = random.Random(6765)
     for _ in range(200):
         inst = random_instance(rng, max_n=32)
         n = inst.modulus
-        gamma = gamma_value(inst)  # one in four is served by an earlier instance
+        gamma = gamma_value(inst)  # some are served by an earlier instance
         assert gamma == gamma_exact(inst).gamma
         if n <= 12:
             assert gamma == gamma_bruteforce(inst)
-        u = rng.choice([u for u in range(n) if math.gcd(u, n) == 1])
-        image = affine_image(inst, u, rng.choice(sorted(inst.connection | {0})))
+        y = rng.choice(sorted(inst.connection | {0}))
         with monkeypatch.context() as patch:
             patch.setattr(solver, "gamma_exact", refuse)
-            assert gamma_value(image) == gamma
-        assert gamma_exact(image).gamma == gamma
+            assert gamma_value(affine_image(inst, rng.choice((1, -1)), y)) == gamma
+        unit = rng.choice([u for u in range(n) if math.gcd(u, n) == 1])
+        image = affine_image(inst, unit, y)
+        assert gamma_value(image) == gamma_exact(image).gamma == gamma
 
 
 def test_gamma_exact_computes_no_class_key(monkeypatch, empty_caches):
