@@ -3,13 +3,15 @@
 JSON on stdout is the stable contract (rationals as "num/den" strings);
 ratio also offers a plain mode and table emits TSV.  Exit codes: 0 on
 success, 2 on a usage or domain error, 3 when an internal cross-check
-fails, which would mean a bug, not bad input.
+fails, which would mean a bug, not bad input, and 141 when the reader
+closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -22,6 +24,8 @@ from .solver import gamma_bruteforce, gamma_exact, reduce_mod
 
 # solver-confirmation cap for table --check; larger rows print "-"
 CHECK_PERIOD_CAP = 64
+# exit code when stdout closes early: 128 + SIGPIPE, as a shell reports it
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_set(text: str) -> DifferenceSet:
@@ -280,7 +284,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_set_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull, so the
+        # flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .construct import construct_best, verify_dominating
 from .formula import RatioResult, family_set
 from .model import ConsistencyError, DifferenceSet, PeriodicSet
-from .solver import MAX_MODULUS, gamma_exact, gamma_value, reduce_mod
+from .solver import MAX_MODULUS, gamma_exact, gamma_shared, reduce_mod
 
 # int-to-str conversion refuses more than 4300 digits, so a larger period
 # bound is left as c*2^c; 2^14285 > 10^4300, so a huge c never forms 2^c
@@ -70,11 +70,12 @@ def _cap_note(steps: DifferenceSet) -> str:
 def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> SearchReport:
     """Scan periods 1..max_period and report the best certified ratio.
 
-    Each period's gamma comes from gamma_value, so a quotient that
+    Each period's certificate comes from gamma_shared, so a quotient that
     x -> +-x + a maps onto one solved earlier in the process is not solved
     again; within one scan every modulus differs, so such hits come from
-    earlier scans.  Only best_period's witness is needed, and gamma_exact
-    gives it.
+    earlier scans.  best_period's witness must dominate its own offsets:
+    a certificate solved for another member of the class is replaced by
+    gamma_exact's.
     The scan is serial; jobs is kept for old callers and must be 1.
     """
     if jobs != 1:
@@ -83,12 +84,18 @@ def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> Search
         raise ValueError("max_period must be positive")
     if max_period > MAX_MODULUS:
         raise ValueError(f"max_period {max_period} above the solver limit {MAX_MODULUS}")
-    gammas = [gamma_value(reduce_mod(steps, p)) for p in range(1, max_period + 1)]
-    per_period = tuple((p, g, Fraction(g, p)) for p, g in enumerate(gammas, start=1))
+    shared = [gamma_shared(reduce_mod(steps, p)) for p in range(1, max_period + 1)]
+    per_period = tuple(
+        (p, cert.gamma, Fraction(cert.gamma, p)) for p, (cert, _) in enumerate(shared, start=1)
+    )
     best_p, best_gamma, best_ratio = min(per_period, key=lambda row: (row[2], row[0]))
-    cert = gamma_exact(reduce_mod(steps, best_p))
-    if cert.gamma != best_gamma:
-        raise ConsistencyError(f"period {best_p}: gamma_exact {cert.gamma} != scan {best_gamma}")
+    cert, own = shared[best_p - 1]
+    if not own:
+        cert = gamma_exact(reduce_mod(steps, best_p))
+        if cert.gamma != best_gamma:
+            raise ConsistencyError(
+                f"period {best_p}: gamma_exact {cert.gamma} != scan {best_gamma}"
+            )
     witness = PeriodicSet(best_p, cert.witness)
     if not verify_dominating(witness, steps):
         raise ConsistencyError("scan produced a non-dominating witness")

@@ -4,7 +4,9 @@ gamma_exact runs a branch-and-bound kernel over coverage bitmasks.  The
 kernel is the C extension (domkit._core) if it imports, else its
 pure-Python twin (domkit._core_py).  gamma_bruteforce is a
 deliberately naive oracle that shares no search logic with the kernel:
-it tries every subset in increasing cardinality order.
+it tries every subset in increasing cardinality order.  gamma_shared
+serves the period scan: it keeps one certificate per class of instances
+that a map x -> +-x + a carries onto each other.
 """
 
 from __future__ import annotations
@@ -68,52 +70,27 @@ def _offsets(inst: CirculantInstance) -> tuple[int, ...]:
     return tuple(sorted(inst.connection | {0}))
 
 
-# gamma_exact keeps certificates until their witnesses hold this many
+def gamma_exact(inst: CirculantInstance) -> GammaCertificate:
+    """Exact domination number with a witness the kernel found and that is
+    verified here; every call solves."""
+    n = inst.modulus
+    _check_modulus(n)
+    offsets = _offsets(inst)
+    size, mask, explored = _kernel.solve_cover(n, list(offsets))
+    witness = frozenset(_bits(mask))
+    if not verify_witness(inst, witness) or len(witness) != size:
+        raise ConsistencyError(f"kernel returned an invalid witness for {(n, offsets)}")
+    return GammaCertificate(size, witness, explored)
+
+
+# gamma_shared keeps certificates until their witnesses hold this many
 # residues in all, then drops the oldest first: one certificate at
-# MAX_MODULUS can hold 8192, a scan to period 32 keeps ~1,300 small ones
+# MAX_MODULUS can hold 8192, a scan round to period 32 keeps ~700 small ones
 MAX_CACHED_RESIDUES = 2**20
 
-_gamma_cache: dict[tuple[int, tuple[int, ...]], GammaCertificate] = {}
+# (n, class key) -> (the offsets solved, their certificate)
+_gamma_cache: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], GammaCertificate]] = {}
 _cached_residues = 0  # witness residues held in _gamma_cache
-
-
-def _remember(key: tuple[int, tuple[int, ...]], cert: GammaCertificate) -> None:
-    global _cached_residues
-    _gamma_cache[key] = cert
-    _cached_residues += len(cert.witness)
-    while _cached_residues > MAX_CACHED_RESIDUES and _gamma_cache:
-        oldest = _gamma_cache.pop(next(iter(_gamma_cache)))
-        _cached_residues -= len(oldest.witness)
-
-
-def gamma_exact(inst: CirculantInstance) -> GammaCertificate:
-    """Exact domination number with witness; results are memoized, up to
-    MAX_CACHED_RESIDUES witness residues, so the function stays pure while
-    repeated scans get cheap."""
-    _check_modulus(inst.modulus)
-    offsets = _offsets(inst)
-    key = (inst.modulus, offsets)
-    cert = _gamma_cache.get(key)
-    if cert is None:
-        size, mask, explored = _kernel.solve_cover(inst.modulus, list(offsets))
-        witness = frozenset(_bits(mask))
-        cert = GammaCertificate(size, witness, explored)
-        if not verify_witness(inst, witness) or len(witness) != size:
-            raise ConsistencyError(f"kernel returned an invalid witness for {key}")
-        _remember(key, cert)
-    return cert
-
-
-# gamma_value keeps this many gamma values by class, then drops the
-# oldest first: ~5 MB with five offsets per key; a scan round to period 32
-# keeps ~700
-MAX_CACHED_CLASSES = 2**14
-
-# (n, sorted offsets of one member of a class) -> gamma of the class
-_class_cache: dict[tuple[int, tuple[int, ...]], int] = {}
-# per modulus met by gamma_value, the offsets of its first instance, which
-# stand in for their class key until a second instance comes; then None
-_unkeyed: dict[int, tuple[int, ...] | None] = {}
 
 
 def _class_key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
@@ -129,43 +106,29 @@ def _class_key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(itertools.accumulate(best[:-1], initial=0))
 
 
-def _keep_class(key: tuple[int, tuple[int, ...]], gamma: int) -> None:
-    _class_cache[key] = gamma
-    if len(_class_cache) > MAX_CACHED_CLASSES:
-        del _class_cache[next(iter(_class_cache))]
+def gamma_shared(inst: CirculantInstance) -> tuple[GammaCertificate, bool]:
+    """A certificate for the class of inst under x -> +-x + a, and whether
+    it was solved for inst's own offsets.
 
-
-def gamma_value(inst: CirculantInstance) -> int:
-    """gamma alone, shared across instances that a map x -> +-x + a
-    carries onto each other: the certificate gamma_exact holds for these
-    very offsets, else the value of an instance of the same class, else
-    gamma_exact's, which is then kept for the class, up to
-    MAX_CACHED_CLASSES classes.
-
-    The first instance at a modulus is kept under its own offsets, a
-    member of its class, and keyed only when a second instance at that
-    modulus comes; so a single period scan computes no class key.
+    gamma is the certificate's for every member of the class; its witness
+    dominates only the offsets solved.  A class met for the first time is
+    solved by gamma_exact and kept, up to MAX_CACHED_RESIDUES witness
+    residues in all.
     """
+    global _cached_residues
     n = inst.modulus
     offsets = _offsets(inst)
-    cert = _gamma_cache.get((n, offsets))
-    if cert is not None:
-        return cert.gamma
-    if n not in _unkeyed:
-        _unkeyed[n] = key = offsets
-    else:
-        first = _unkeyed[n]
-        if first is not None:
-            _unkeyed[n] = None
-            gamma = _class_cache.pop((n, first), None)
-            if gamma is not None:
-                _keep_class((n, _class_key(n, first)), gamma)
-        key = _class_key(n, offsets)
-    gamma = _class_cache.get((n, key))
-    if gamma is None:
-        gamma = gamma_exact(inst).gamma
-        _keep_class((n, key), gamma)
-    return gamma
+    key = (n, _class_key(n, offsets))
+    entry = _gamma_cache.get(key)
+    if entry is None:
+        cert = gamma_exact(inst)
+        entry = _gamma_cache[key] = (offsets, cert)
+        _cached_residues += len(cert.witness)
+        while _cached_residues > MAX_CACHED_RESIDUES:
+            _, oldest = _gamma_cache.pop(next(iter(_gamma_cache)))
+            _cached_residues -= len(oldest.witness)
+    solved, cert = entry
+    return cert, solved == offsets
 
 
 def _bits(mask: int):

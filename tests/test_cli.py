@@ -2,7 +2,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -245,13 +249,53 @@ def test_table_check_exits_3_on_wrong_gamma(capsys, monkeypatch, which):
 
 
 def test_exit_3_on_invalid_kernel_witness(capsys, monkeypatch):
-    monkeypatch.setattr(solver, "_gamma_cache", {})
     monkeypatch.setattr(solver._kernel, "solve_cover", lambda n, offsets: (1, 1, 1))
     code, out, err = run(capsys, "gamma", "--n", "5", "--set", "1,2")
     assert code == 3
     assert out == ""
     assert "invalid witness" in err
     assert "Traceback" not in err
+
+
+def run_closing_stdout(argv, lines):
+    """(exit code, stderr) of domkit in a fresh interpreter, whose stdout is
+    block-buffered as -I ignores PYTHONUNBUFFERED; the reader takes `lines`
+    lines and closes the pipe, with 0 before domkit starts."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "from domkit.cli import main; sys.exit(main())"
+    )
+    read_end, write_end = os.pipe()
+    reader = open(read_end, "rb")
+    if not lines:
+        reader.close()
+    proc = subprocess.Popen(
+        [sys.executable, "-I", "-c", code, *argv], stdout=write_end, stderr=subprocess.PIPE
+    )
+    os.close(write_end)
+    for _ in range(lines):
+        reader.readline()
+    reader.close()
+    err = proc.communicate(timeout=60)[1].decode()
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # one short line, written by the flush at the end
+        (("ratio", "--d", "4", "--s", "4"), 0),
+        # ~360 KB, written while the reader is gone
+        (("table", "--which", "d4", "--k-max", "3000"), 1),
+    ],
+    ids=["at-exit", "mid-output"],
+)
+def test_closed_stdout_exits_quietly(argv, lines):
+    code, err = run_closing_stdout(argv, lines)
+    assert code == cli.EXIT_BROKEN_PIPE
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 def test_repeat_invocations_byte_identical(capsys):

@@ -11,7 +11,7 @@ from domkit.construct import verify_dominating
 from domkit.formula import domination_ratio, family_set
 from domkit.model import ConsistencyError, DifferenceSet, PeriodicSet
 from domkit.search import consistency_check, period_bound, search_ratio
-from domkit.solver import gamma_exact, reduce_mod
+from domkit.solver import GammaCertificate, gamma_exact, reduce_mod
 
 
 @pytest.mark.parametrize(
@@ -75,25 +75,16 @@ def test_search_ratio_matches_gamma_exact_reference(monkeypatch, empty_caches, d
 
 
 def test_search_ratio_rejects_a_wrong_shared_gamma(empty_caches):
-    # a class value below gamma(Z_5, {0, 1, 4}) = 2 makes period 5 the best;
-    # gamma_exact's certificate there disagrees
-    solver._unkeyed[5] = None
-    solver._class_cache[(5, (0, 1, 2))] = 1
-    with pytest.raises(ConsistencyError, match="period 5"):
-        search_ratio(DifferenceSet((1, 4)), 8)
-
-
-def test_single_search_computes_no_class_key(monkeypatch, empty_caches):
-    # one scan meets each modulus once, so no class can hit yet
-    def refuse(*args):
-        raise AssertionError("a class key was computed")
-
-    monkeypatch.setattr(solver, "_class_key", refuse)
-    steps = DifferenceSet((1, 2, 3, -12))
-    report = search_ratio(steps, 30)
-    empty_caches()
-    gammas = [gamma_exact(reduce_mod(steps, p)).gamma for p in range(1, 31)]
-    assert report.per_period == tuple((p, g, Fraction(g, p)) for p, g in enumerate(gammas, 1))
+    # a class certificate below gamma(Z_5, {0, 1, 4}) = 2 makes period 5 the
+    # best.  Solved for other offsets of the class, {0, 1, 2}, it is solved
+    # again and gamma_exact disagrees; solved for {0, 1, 4} itself, its
+    # witness is kept and does not dominate
+    wrong = GammaCertificate(1, frozenset({0}), 1)
+    for solved, match in [((0, 1, 2), "period 5"), ((0, 1, 4), "non-dominating")]:
+        solver._gamma_cache[(5, (0, 1, 2))] = (solved, wrong)
+        with pytest.raises(ConsistencyError, match=match):
+            search_ratio(DifferenceSet((1, 4)), 8)
+        empty_caches()
 
 
 def test_search_ratio_at_most_one():

@@ -21,7 +21,7 @@ from domkit.solver import (
     MAX_MODULUS,
     gamma_bruteforce,
     gamma_exact,
-    gamma_value,
+    gamma_shared,
     kernel_name,
     perfect_code_exists,
     reduce_mod,
@@ -388,23 +388,17 @@ def refuse(*args):
 def test_gamma_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
     monkeypatch.setattr(solver, "MAX_CACHED_RESIDUES", 20)
     insts = [reduce_mod(DifferenceSet((1,)), n) for n in range(10, 20)]
-    certs = [gamma_exact(inst) for inst in insts]  # gammas 5..10, 75 residues
-    held = sum(len(c.witness) for c in solver._gamma_cache.values())
+    certs = [gamma_shared(inst)[0] for inst in insts]  # gammas 5..10, 75 residues
+    assert [c.gamma for c in certs] == [(n + 1) // 2 for n in range(10, 20)]
+    held = sum(len(c.witness) for _, c in solver._gamma_cache.values())
     assert held == solver._cached_residues <= 20
-    assert (10, (0, 1)) not in solver._gamma_cache
-    assert (19, (0, 1)) in solver._gamma_cache
-    assert gamma_exact(insts[0]) == certs[0]
-    assert sum(len(c.witness) for c in solver._gamma_cache.values()) <= 20
-
-
-def test_class_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
-    monkeypatch.setattr(solver, "MAX_CACHED_CLASSES", 4)
-    insts = [reduce_mod(DifferenceSet((1,)), n) for n in range(10, 20)]
-    assert [gamma_value(inst) for inst in insts] == [(n + 1) // 2 for n in range(10, 20)]
-    assert list(solver._class_cache) == [(n, (0, 1)) for n in range(16, 20)]
-    monkeypatch.setattr(solver, "_gamma_cache", {})
-    assert gamma_value(insts[0]) == 5
-    assert list(solver._class_cache) == [(n, (0, 1)) for n in (17, 18, 19, 10)]
+    assert list(solver._gamma_cache) == [(18, (0, 1)), (19, (0, 1))]
+    assert gamma_shared(insts[0]) == (certs[0], True)  # solved again, kept last
+    assert list(solver._gamma_cache) == [(19, (0, 1)), (10, (0, 1))]
+    assert solver._cached_residues == 15
+    monkeypatch.setattr(solver, "gamma_exact", refuse)
+    # {0, -1} is the mirror of {0, 1}: the class hits, for other offsets
+    assert gamma_shared(reduce_mod(DifferenceSet((-1,)), 10)) == (certs[0], False)
 
 
 def test_class_key_is_least_mirror_image():
@@ -431,17 +425,20 @@ def test_gamma_value_is_shared_across_affine_images(monkeypatch, empty_caches):
     for _ in range(200):
         inst = random_instance(rng, max_n=32)
         n = inst.modulus
-        gamma = gamma_value(inst)  # some are served by an earlier instance
+        cert, own = gamma_shared(inst)  # some are served by an earlier instance
+        gamma = cert.gamma
         assert gamma == gamma_exact(inst).gamma
+        if own:
+            assert verify_witness(inst, cert.witness)
         if n <= 12:
             assert gamma == gamma_bruteforce(inst)
         y = rng.choice(sorted(inst.connection | {0}))
         with monkeypatch.context() as patch:
             patch.setattr(solver, "gamma_exact", refuse)
-            assert gamma_value(affine_image(inst, rng.choice((1, -1)), y)) == gamma
+            assert gamma_shared(affine_image(inst, rng.choice((1, -1)), y))[0].gamma == gamma
         unit = rng.choice([u for u in range(n) if math.gcd(u, n) == 1])
         image = affine_image(inst, unit, y)
-        assert gamma_value(image) == gamma_exact(image).gamma == gamma
+        assert gamma_shared(image)[0].gamma == gamma_exact(image).gamma == gamma
 
 
 def test_gamma_exact_computes_no_class_key(monkeypatch, empty_caches):
@@ -452,6 +449,7 @@ def test_gamma_exact_computes_no_class_key(monkeypatch, empty_caches):
         assert cert.gamma == gamma
         assert verify_witness(inst, cert.witness)
         assert gamma_exact(inst) == cert
+    assert solver._gamma_cache == {}
 
 
 def test_kernel_dispatch():
