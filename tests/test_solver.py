@@ -396,9 +396,24 @@ def test_gamma_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
     assert gamma_shared(insts[0]) == (certs[0], True)  # solved again, kept last
     assert list(solver._gamma_cache) == [(19, (0, 1)), (10, (0, 1))]
     assert solver._cached_residues == 15
+
+
+def test_class_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
+    # the cache is keyed by class: an evicted class is solved again for the
+    # member that asks next, and then serves the other members
+    monkeypatch.setattr(solver, "MAX_CACHED_RESIDUES", 20)
+    insts = [reduce_mod(DifferenceSet((1,)), n) for n in range(10, 20)]
+    certs = [gamma_shared(inst)[0] for inst in insts]
+    assert (10, (0, 1)) not in solver._gamma_cache
+    mirror = reduce_mod(DifferenceSet((-1,)), 10)  # {0, -1}, in the class of {0, 1}
+    cert, own = gamma_shared(mirror)
+    assert own and cert.gamma == certs[0].gamma == 5
+    assert verify_witness(mirror, cert.witness)
+    assert list(solver._gamma_cache) == [(19, (0, 1)), (10, (0, 1))]
+    assert solver._gamma_cache[10, (0, 1)] == ((0, 9), cert)
     monkeypatch.setattr(solver, "gamma_exact", refuse)
-    # {0, -1} is the mirror of {0, 1}: the class hits, for other offsets
-    assert gamma_shared(reduce_mod(DifferenceSet((-1,)), 10)) == (certs[0], False)
+    assert gamma_shared(insts[0]) == (cert, False)
+    assert list(solver._gamma_cache) == [(19, (0, 1)), (10, (0, 1))]  # a hit moves nothing
 
 
 def test_class_key_is_least_mirror_image():
