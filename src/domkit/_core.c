@@ -24,6 +24,10 @@
    place, without entering it; this one enters it, and both count the
    same nodes.
 
+   A floor lb stops the search once best_size <= lb, at the root after
+   greedy and right after each new best, at the same points as the pure
+   kernel, so the triples agree for every lb.
+
    The root needs only its uncovered count, so the n * W cover and dom
    tables and the per-depth rows, one allocation, are made and filled
    only when the greedy bound does not cut the root (prepare). */
@@ -54,6 +58,7 @@ typedef struct {
 typedef struct {
     size_t n, m, W, k;     /* modulus, offset count, words per mask, distinct offsets */
     size_t best_size;
+    size_t lb;             /* stop once best_size <= lb */
     long long explored;
     u64 *cover, *dom;      /* n * W: what v covers, what dominates x */
     u64 *unc, *alw;        /* depth_cap * W: uncovered, allowed per depth */
@@ -221,6 +226,8 @@ static void search(Search *s)
                 v = s->order[h * k + s->level[h].next - 1].v;
                 s->best[v >> 6] |= BIT(v);
             }
+            if (s->best_size <= s->lb)
+                return;
         }
     }
 }
@@ -278,16 +285,20 @@ static PyObject *mask_to_int(const u64 *mask, size_t W)
 
 static PyObject *solve_cover(PyObject *self, PyObject *args)
 {
-    Py_ssize_t n_arg, m_arg, t;
+    Py_ssize_t n_arg, m_arg, lb_arg = 0, t;
     PyObject *offsets, *seq, *mod = NULL, *r, *witness, *result = NULL;
     Search s = {0};
     size_t n, W, i, k, *offs = NULL;
 
     (void)self;
-    if (!PyArg_ParseTuple(args, "nO:solve_cover", &n_arg, &offsets))
+    if (!PyArg_ParseTuple(args, "nO|n:solve_cover", &n_arg, &offsets, &lb_arg))
         return NULL;
     if (n_arg < 1) {
         PyErr_SetString(PyExc_ValueError, "modulus must be positive");
+        return NULL;
+    }
+    if (lb_arg < 0) {
+        PyErr_SetString(PyExc_ValueError, "lb must be nonnegative");
         return NULL;
     }
     seq = PySequence_Fast(offsets, "offsets must be a sequence");
@@ -301,6 +312,7 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
 
     n = s.n = (size_t)n_arg;
     s.m = (size_t)m_arg;
+    s.lb = (size_t)lb_arg;
     W = s.W = (n + 63) >> 6;
 
     /* offsets reduced into [0, n) by Python's own %, so no index leaves
@@ -339,9 +351,10 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
     /* fix vertex 0 in the witness: some rotation of any cover contains it.
        It covers the k distinct offsets, so the root has n - k targets
        uncovered; if that is none, greedy's first pick, vertex 0, already
-       made best_size 1.  The tables are built only past the root. */
+       made best_size 1.  The tables are built only past the root, and
+       not when greedy already meets the floor lb. */
     s.explored = 1;
-    if (1 + (n - k + s.m - 1) / s.m < s.best_size) {
+    if (1 + (n - k + s.m - 1) / s.m < s.best_size && s.best_size > s.lb) {
         if (prepare(&s, offs) < 0) {
             PyErr_NoMemory();
             goto done;
@@ -366,8 +379,9 @@ done:
 
 static PyMethodDef core_methods[] = {
     {"solve_cover", solve_cover, METH_VARARGS,
-     "solve_cover(n, offsets) -> (size, witness, explored)\n\n"
-     "Minimum |W|, a witness bitmask, and the node count of the search."},
+     "solve_cover(n, offsets, lb=0, /) -> (size, witness, explored)\n\n"
+     "Minimum |W|, a witness bitmask, and the node count of the search;\n"
+     "it stops once its best cover has at most lb elements."},
     {NULL, NULL, 0, NULL},
 };
 

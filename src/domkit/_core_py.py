@@ -52,12 +52,24 @@ would count:
     then, with need == 1, every later child is cut, and counted, as
     above; with need > 1 this node is cut too and counts nothing more
 
+A floor lb, 0 unless given, stops the search once best_size <= lb: at
+the root after greedy, and right after each new best, before anything
+else is counted (in place, before the later children a leaf cuts).
+Passing lb <= gamma changes neither size nor witness: the best is
+replaced only by a strictly smaller cover, so a best of size gamma is
+the one the full search returns; only explored falls.  The search does
+not check lb: one above gamma may return a cover that is not minimum.
+The period scan (domkit.search) passes ceil(p * rho) with rho the
+closed-form ratio, so there the result trusts the closed form.
+
 The compiled twin in domkit._core enters those last-level children
 instead; it walks the same tree and both must return identical (size,
-witness, explored) triples.
+witness, explored) triples, for every lb.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 def greedy(n: int, offsets) -> tuple[int, int]:
@@ -101,14 +113,18 @@ def greedy(n: int, offsets) -> tuple[int, int]:
     return size, mask
 
 
-def solve_cover(n: int, offsets: list[int]) -> tuple[int, int, int]:
+def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, int]:
     """Minimum |W|, a witness bitmask, and the node count of the search.
 
     offsets are reduced mod n; repeats cover nothing new, but the lower
-    bound counts them, as len(offsets).
+    bound counts them, as len(offsets).  The search stops once its best
+    cover has at most lb elements (see the module docstring).
     """
+    lb = operator.index(lb)  # as the compiled kernel parses its arguments
     if n < 1:
         raise ValueError("modulus must be positive")
+    if lb < 0:
+        raise ValueError("lb must be nonnegative")
     if not offsets:
         raise ValueError("offsets must be nonempty")
     m = len(offsets)
@@ -120,7 +136,7 @@ def solve_cover(n: int, offsets: list[int]) -> tuple[int, int, int]:
     size = 1
     left = n - len(distinct)
     need = (left + m - 1) // m
-    if size + need >= best_size:
+    if size + need >= best_size or best_size <= lb:
         return best_size, best_mask, 1
 
     full = (1 << n) - 1
@@ -213,6 +229,8 @@ def solve_cover(n: int, offsets: list[int]) -> tuple[int, int, int]:
                     explored += 1
                     best_size = size + 2
                     best_mask = chosen | (1 << v) | leaf
+                    if best_size <= lb:
+                        return best_size, best_mask, explored
                     if need == 1:
                         # the later children are cut by the new best_size
                         explored += count - i - 1
@@ -225,6 +243,8 @@ def solve_cover(n: int, offsets: list[int]) -> tuple[int, int, int]:
                     explored += 1
                     best_size = size + 1
                     best_mask = chosen | (1 << v)
+                    if best_size <= lb:
+                        return best_size, best_mask, explored
             # this node is done: resume the nearest one the bound allows
             while stack:
                 uncovered, chosen, size, left, need, order, count, i, allowed = pop()

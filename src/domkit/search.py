@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construct import construct_best, verify_dominating
-from .formula import RatioResult, family_set
+from .formula import RatioResult, domination_ratio, family_set
 from .model import ConsistencyError, DifferenceSet, PeriodicSet
-from .solver import MAX_MODULUS, gamma_exact, gamma_shared, reduce_mod
+from .solver import MAX_MODULUS, _certify, gamma_shared, reduce_mod
 
 # int-to-str conversion refuses more than 4300 digits, so a larger period
 # bound is left as c*2^c; 2^14285 > 10^4300, so a huge c never forms 2^c
@@ -67,6 +67,18 @@ def _cap_note(steps: DifferenceSet) -> str:
     )
 
 
+def _family_ratio(steps: DifferenceSet) -> Fraction | None:
+    """The closed-form ratio if steps is {1, ..., d-2, s} as family_set
+    builds it (d = len(steps) + 1, s outside [0, d-2]), else None.  A step
+    is never 0, so the one step left over from {1, ..., d-2} is such an s."""
+    d = len(steps) + 1
+    rest = set(steps.elements) - set(range(1, d - 1))
+    if len(rest) != 1:
+        return None
+    (s,) = rest
+    return domination_ratio(d, s).value
+
+
 def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> SearchReport:
     """Scan periods 1..max_period and report the best certified ratio.
 
@@ -74,8 +86,18 @@ def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> Search
     x -> +-x + a maps onto one solved earlier in the process is not solved
     again; within one scan every modulus differs, so such hits come from
     earlier scans.  best_period's witness must dominate its own offsets:
-    a certificate solved for another member of the class is replaced by
-    gamma_exact's.
+    a certificate solved for another member of the class is solved again
+    for steps.
+
+    For a family member (_family_ratio), the kernel stops at the floor
+    ceil(p * rho) at period p: any cover of Z_p lifts to a periodic
+    dominating set of Z of density gamma / p >= rho, collisions mod p
+    included.  The kernel keeps a new best only if it is strictly
+    smaller, so a best that meets the floor is the one the full search
+    returns: gamma and the witness are gamma_exact's, only the node count
+    falls.  The floor trusts the closed form; a gamma below it raises
+    ConsistencyError, but a wrong rho above the true ratio would go
+    unseen, so no other step set gets a floor.
     The scan is serial; jobs is kept for old callers and must be 1.
     """
     if jobs != 1:
@@ -84,17 +106,19 @@ def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> Search
         raise ValueError("max_period must be positive")
     if max_period > MAX_MODULUS:
         raise ValueError(f"max_period {max_period} above the solver limit {MAX_MODULUS}")
-    shared = [gamma_shared(reduce_mod(steps, p)) for p in range(1, max_period + 1)]
+    rho = _family_ratio(steps) or Fraction(0)  # no closed form: floor 0
+    floors = [-(-p * rho.numerator // rho.denominator) for p in range(max_period + 1)]
+    shared = [gamma_shared(reduce_mod(steps, p), floors[p]) for p in range(1, max_period + 1)]
     per_period = tuple(
         (p, cert.gamma, Fraction(cert.gamma, p)) for p, (cert, _) in enumerate(shared, start=1)
     )
     best_p, best_gamma, best_ratio = min(per_period, key=lambda row: (row[2], row[0]))
     cert, own = shared[best_p - 1]
     if not own:
-        cert = gamma_exact(reduce_mod(steps, best_p))
+        cert = _certify(reduce_mod(steps, best_p), floors[best_p])
         if cert.gamma != best_gamma:
             raise ConsistencyError(
-                f"period {best_p}: gamma_exact {cert.gamma} != scan {best_gamma}"
+                f"period {best_p}: solved again {cert.gamma} != scan {best_gamma}"
             )
     witness = PeriodicSet(best_p, cert.witness)
     if not verify_dominating(witness, steps):

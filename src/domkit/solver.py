@@ -73,13 +73,21 @@ def _offsets(inst: CirculantInstance) -> tuple[int, ...]:
 def gamma_exact(inst: CirculantInstance) -> GammaCertificate:
     """Exact domination number with a witness the kernel found and that is
     verified here; every call solves."""
+    return _certify(inst, 0)
+
+
+def _certify(inst: CirculantInstance, lb: int) -> GammaCertificate:
+    """gamma_exact with the kernel's floor lb, which must be at most gamma
+    (the kernel cannot check that); a gamma below lb is an error."""
     n = inst.modulus
     _check_modulus(n)
     offsets = _offsets(inst)
-    size, mask, explored = _kernel.solve_cover(n, list(offsets))
+    size, mask, explored = _kernel.solve_cover(n, list(offsets), lb)
     witness = frozenset(_bits(mask))
     if not verify_witness(inst, witness) or len(witness) != size:
         raise ConsistencyError(f"kernel returned an invalid witness for {(n, offsets)}")
+    if size < lb:
+        raise ConsistencyError(f"period {n}: gamma {size} is below the floor {lb}")
     return GammaCertificate(size, witness, explored)
 
 
@@ -106,14 +114,15 @@ def _class_key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(itertools.accumulate(best[:-1], initial=0))
 
 
-def gamma_shared(inst: CirculantInstance) -> tuple[GammaCertificate, bool]:
+def gamma_shared(inst: CirculantInstance, lb: int = 0) -> tuple[GammaCertificate, bool]:
     """A certificate for the class of inst under x -> +-x + a, and whether
     it was solved for inst's own offsets.
 
     gamma is the certificate's for every member of the class; its witness
     dominates only the offsets solved.  A class met for the first time is
-    solved by gamma_exact and kept, up to MAX_CACHED_RESIDUES witness
-    residues in all.
+    solved with the kernel's floor lb, which must be a proven lower bound
+    on gamma, and kept, up to MAX_CACHED_RESIDUES witness residues in all.
+    Its certificate is gamma_exact's but for explored.
     """
     global _cached_residues
     n = inst.modulus
@@ -121,7 +130,7 @@ def gamma_shared(inst: CirculantInstance) -> tuple[GammaCertificate, bool]:
     key = (n, _class_key(n, offsets))
     entry = _gamma_cache.get(key)
     if entry is None:
-        cert = gamma_exact(inst)
+        cert = _certify(inst, lb)
         entry = _gamma_cache[key] = (offsets, cert)
         _cached_residues += len(cert.witness)
         while _cached_residues > MAX_CACHED_RESIDUES:

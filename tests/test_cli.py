@@ -249,7 +249,7 @@ def test_table_check_exits_3_on_wrong_gamma(capsys, monkeypatch, which):
 
 
 def test_exit_3_on_invalid_kernel_witness(capsys, monkeypatch):
-    monkeypatch.setattr(solver._kernel, "solve_cover", lambda n, offsets: (1, 1, 1))
+    monkeypatch.setattr(solver._kernel, "solve_cover", lambda n, offsets, lb=0: (1, 1, 1))
     code, out, err = run(capsys, "gamma", "--n", "5", "--set", "1,2")
     assert code == 3
     assert out == ""

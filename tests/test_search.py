@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from domkit import solver
+from domkit import search, solver
 from domkit.construct import verify_dominating
 from domkit.formula import domination_ratio, family_set
 from domkit.model import ConsistencyError, DifferenceSet, PeriodicSet
@@ -45,19 +45,21 @@ def test_search_report_internals():
     assert "never scanned" in report.theoretical_cap_note
 
 
-@pytest.mark.parametrize("d, s", [(3, -14), (4, -3), (5, -14)])
+@pytest.mark.parametrize("d, s", [(3, -14), (4, -3), (5, -14), (2, 5), (4, 7), (3, 13)])
 def test_search_ratio_matches_gamma_exact_reference(monkeypatch, empty_caches, d, s):
     # x -> (d - 2) - x maps family_set(d, s) onto family_set(d, d - 2 - s),
-    # so the mirror, scanned second, shares gamma at every period
+    # so the mirror, scanned second, shares gamma at every period.  The
+    # scan stops the kernel at the floor ceil(p * rho); gamma_exact has no
+    # floor, and both must give the same gamma and witness
     cap = 32
     members = (s, d - 2 - s)
     reports = [search_ratio(family_set(d, members[0]), cap)]
     solved = []
     solve_cover = solver._kernel.solve_cover
 
-    def counted(n, offsets):
+    def counted(n, offsets, lb=0):
         solved.append(n)
-        return solve_cover(n, offsets)
+        return solve_cover(n, offsets, lb)
 
     monkeypatch.setattr(solver._kernel, "solve_cover", counted)
     reports.append(search_ratio(family_set(d, members[1]), cap))
@@ -85,6 +87,39 @@ def test_search_ratio_rejects_a_wrong_shared_gamma(empty_caches):
         with pytest.raises(ConsistencyError, match=match):
             search_ratio(DifferenceSet((1, 4)), 8)
         empty_caches()
+
+
+def test_search_ratio_rejects_a_planted_wrong_ratio(monkeypatch, empty_caches):
+    # rho = 1 makes the floor at period p equal to p; Z_2 with steps {1, 4}
+    # has gamma 1, below the floor 2
+    monkeypatch.setattr(search, "_family_ratio", lambda steps: Fraction(1))
+    with pytest.raises(ConsistencyError, match="period 2: gamma 1 is below the floor 2"):
+        search_ratio(family_set(3, 4), 8)
+
+
+def test_family_ratio_recognises_family_shapes_only():
+    for d, s in [(2, 5), (2, -1), (3, 4), (3, -14), (4, 7), (5, -3)]:
+        assert search._family_ratio(family_set(d, s)) == domination_ratio(d, s).value
+    for steps in [(2, 5), (1, 3, 5), (-1, -4), (1, 2, 4, 5), (2, 3)]:
+        assert search._family_ratio(DifferenceSet(steps)) is None
+
+
+def test_search_ratio_passes_the_floor_to_the_kernel(monkeypatch, empty_caches):
+    # ceil(p * 2/5) for {1, 4}; no floor for a step set outside the family
+    floors = []
+    solve_cover = solver._kernel.solve_cover
+
+    def recorded(n, offsets, lb=0):
+        floors.append((n, lb))
+        return solve_cover(n, offsets, lb)
+
+    monkeypatch.setattr(solver._kernel, "solve_cover", recorded)
+    search_ratio(family_set(3, 4), 12)
+    assert floors == [(p, -(-2 * p // 5)) for p in range(1, 13)]
+    floors.clear()
+    empty_caches()  # {2, 5} shares classes with {1, 4} at small periods
+    search_ratio(DifferenceSet((2, 5)), 12)
+    assert floors == [(p, 0) for p in range(1, 13)]
 
 
 def test_search_ratio_at_most_one():

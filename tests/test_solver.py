@@ -330,6 +330,23 @@ def test_solve_cover_matches_recursive_solve_cover():
     assert core_py.solve_cover(30, [0, 1, 16]) == recursive_solve_cover(30, [0, 1, 16])
 
 
+def test_floor_keeps_size_and_witness():
+    # a floor at most gamma only cuts the search short once a best of size
+    # gamma is found, which the full search would keep
+    rng = random.Random(1729)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        offsets = [0] + rng.sample(range(1, max(2, n)), min(n - 1, rng.randint(1, 4)))
+        size, mask, explored = core_py.solve_cover(n, offsets)
+        for lb in {0, size // 2, size - 1, size}:
+            floored = core_py.solve_cover(n, offsets, lb)
+            assert floored[:2] == (size, mask)
+            assert floored[2] <= explored
+    # {1, 4} at period 38 has gamma 16 = ceil(38 * 2/5), its ratio's floor
+    assert core_py.solve_cover(38, [0, 1, 4])[2] == 13725
+    assert core_py.solve_cover(38, [0, 1, 4], 16)[2] == 1190
+
+
 def test_root_cut_builds_no_tables():
     # greedy's every other vertex meets the root's bound, so the search
     # ends at the root without the n-row bit tables (about 9 MB here)
@@ -411,7 +428,7 @@ def test_class_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
     assert verify_witness(mirror, cert.witness)
     assert list(solver._gamma_cache) == [(19, (0, 1)), (10, (0, 1))]
     assert solver._gamma_cache[10, (0, 1)] == ((0, 9), cert)
-    monkeypatch.setattr(solver, "gamma_exact", refuse)
+    monkeypatch.setattr(solver, "_certify", refuse)
     assert gamma_shared(insts[0]) == (cert, False)
     assert list(solver._gamma_cache) == [(19, (0, 1)), (10, (0, 1))]  # a hit moves nothing
 
@@ -449,7 +466,7 @@ def test_gamma_value_is_shared_across_affine_images(monkeypatch, empty_caches):
             assert gamma == gamma_bruteforce(inst)
         y = rng.choice(sorted(inst.connection | {0}))
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "gamma_exact", refuse)
+            patch.setattr(solver, "_certify", refuse)
             assert gamma_shared(affine_image(inst, rng.choice((1, -1)), y))[0].gamma == gamma
         unit = rng.choice([u for u in range(n) if math.gcd(u, n) == 1])
         image = affine_image(inst, unit, y)
@@ -478,6 +495,12 @@ WORD_BOUNDARY_CASES = [
 ]
 
 
+def floors(n, gamma):
+    """The floors both kernels are compared at: none, below, at and above
+    gamma, and n; the (size, witness, explored) contract holds for all."""
+    return sorted({0, max(gamma - 1, 0), gamma, gamma + 1, n})
+
+
 def test_kernels_agree_bit_for_bit(core_c):
     if core_c is None:
         pytest.skip("no C compiler")
@@ -486,7 +509,10 @@ def test_kernels_agree_bit_for_bit(core_c):
         n = rng.randint(1, 34)
         conn = frozenset(rng.sample(range(1, max(2, n)), rng.randint(0, min(4, n - 1)))) if n > 1 else frozenset()
         offsets = sorted(conn | {0})
-        assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, offsets)
+        pure = core_py.solve_cover(n, offsets)
+        assert pure == core_c.solve_cover(n, offsets)
+        for lb in floors(n, pure[0]):
+            assert core_py.solve_cover(n, offsets, lb) == core_c.solve_cover(n, offsets, lb)
     # offsets outside [0, n), repeated or unsorted reduce as Python's % does
     for _ in range(100):
         n = rng.randint(1, 14)
@@ -499,6 +525,8 @@ def test_kernels_agree_bit_for_bit(core_c):
         pure = core_py.solve_cover(n, offsets)
         assert pure[2] > 1
         assert pure == core_c.solve_cover(n, offsets)
+        for lb in floors(n, pure[0]):
+            assert core_py.solve_cover(n, offsets, lb) == core_c.solve_cover(n, offsets, lb)
     # large moduli, where the greedy bound is nearly all the work
     for n, offsets in [(1600, list(range(8))), (8192, [0, 1]), (8192, [0, 1, 2, 3])]:
         assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, offsets)
@@ -521,7 +549,11 @@ for _ in range(300):
     n = rng.randint(1, 40)
     cases.append((n, [rng.randint(-100, 100) for _ in range(rng.randint(1, 5))]))
 for n, offsets in cases:
-    assert core_c.solve_cover(n, offsets) == core_py.solve_cover(n, offsets), (n, offsets)
+    pure = core_py.solve_cover(n, offsets)
+    assert core_c.solve_cover(n, offsets) == pure, (n, offsets)
+    # floors at and below gamma stop the search early
+    for lb in {pure[0] - 1, pure[0]} - {0}:
+        assert core_c.solve_cover(n, offsets, lb) == core_py.solve_cover(n, offsets, lb), (n, offsets, lb)
 """
 
 
@@ -558,3 +590,8 @@ def test_kernel_rejects_bad_input(core_c):
             kernel.solve_cover(0, [0])
         with pytest.raises(ValueError, match="offsets must be nonempty"):
             kernel.solve_cover(5, [])
+        with pytest.raises(ValueError, match="lb must be nonnegative"):
+            kernel.solve_cover(5, [0, 1], -1)
+        for lb in (1.0, "2", None):
+            with pytest.raises(TypeError):
+                kernel.solve_cover(5, [0, 1], lb)
