@@ -7,13 +7,17 @@ Three block-structure templates cover every non-modular case:
     (d-1)                          density 1/(d-1)
 
 One of them always matches the closed-form minimum; construct_best picks
-the first matching template in the order above, converts it to a periodic
-set, and refuses to return anything that fails the domination check.
-Verification is a finite loop over one period, which is exact for the
-periodic lift to Z.
+the first template in the order above whose block density matches,
+converts only that one to a periodic set, and refuses to return anything
+that fails the domination check.  Checking one period is exact for the
+periodic lift to Z, and the check is an OR of the rotations of one n-bit
+residue mask (model.covers_cycle): min(|residues|, |steps| + 1) shifts
+of a period-long integer.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .formula import RatioCase, RatioResult, domination_ratio, family_set
 from .model import (
@@ -24,6 +28,7 @@ from .model import (
     PeriodicSet,
     block_to_periodic,
     blocks_of,
+    covers_cycle,
     density,
 )
 
@@ -43,30 +48,28 @@ def candidate_structures(dec: Decomposition) -> list[BlockStructure]:
 
 
 def verify_dominating(pset: PeriodicSet, steps: DifferenceSet) -> bool:
-    """Whether pset + steps covers Z, checked on one full period."""
+    """Whether pset + steps covers Z, checked on one full period.
+
+    The residue mask is rotated by each offset in {0} | steps mod period, or
+    the offset mask by each residue, whichever set is smaller; a pair of
+    sets too small to cover the period returns False without a mask.
+    """
     p = pset.period
-    offsets = {0} | {t % p for t in steps}
-    covered = set()
-    for r in pset.residues:
-        for t in offsets:
-            covered.add((r + t) % p)
-    return len(covered) == p
+    offsets = {t % p for t in steps}
+    offsets.add(0)
+    return covers_cycle(p, pset.residues, offsets)
 
 
 def verify_efficient(pset: PeriodicSet, steps: DifferenceSet) -> bool:
     """Whether every integer is dominated exactly once by the lift of pset.
 
     Each step is an offset in its own right: two steps congruent mod period
-    give two distinct dominators in Z, so counting runs over the step list,
-    not over distinct residues.
+    give two distinct dominators in Z.  So the lift is efficient when it
+    dominates and |residues| * (|steps| + 1) equals the period; steps that
+    collide mod period then leave some residue uncovered.
     """
     p = pset.period
-    counts = [0] * p
-    for t in (0, *steps):
-        tm = t % p
-        for r in pset.residues:
-            counts[(r + tm) % p] += 1
-    return all(c == 1 for c in counts)
+    return len(pset.residues) * (len(steps) + 1) == p and verify_dominating(pset, steps)
 
 
 def construct_best(d: int, s: int) -> tuple[PeriodicSet, RatioResult]:
@@ -84,9 +87,8 @@ def construct_best(d: int, s: int) -> tuple[PeriodicSet, RatioResult]:
     else:
         pset = None
         for blocks in candidate_structures(dec):
-            cand = block_to_periodic(blocks)
-            if density(cand) == result.value:
-                pset = cand
+            if Fraction(len(blocks.sizes), sum(blocks.sizes)) == result.value:
+                pset = block_to_periodic(blocks)
                 break
         if pset is None:
             raise ConsistencyError(f"no template matches the ratio for ({d}, {s})")
@@ -102,4 +104,5 @@ def check_block_lemma(pset: PeriodicSet, d: int, s: int) -> bool:
     if not verify_dominating(pset, steps):
         raise ValueError("not a dominating set")
     bound = s + 1 if s > 0 else -s + d - 1
-    return all(1 <= b <= bound for b in blocks_of(pset).sizes)
+    # BlockStructure already holds every size to >= 1
+    return max(blocks_of(pset).sizes) <= bound

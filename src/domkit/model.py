@@ -9,8 +9,10 @@ view of the same sets and conversions between the two are lossless.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 Rational = Fraction
 
@@ -102,7 +104,7 @@ class BlockStructure:
         sizes = tuple(self.sizes)
         if not sizes:
             raise ValueError("block structure must have at least one block")
-        if any(b < 1 for b in sizes):
+        if min(sizes) < 1:
             raise ValueError("block sizes must be positive")
         object.__setattr__(self, "sizes", sizes)
 
@@ -204,10 +206,31 @@ def blocks_of(pset: PeriodicSet) -> BlockStructure:
 
 def block_to_periodic(blocks: BlockStructure) -> PeriodicSet:
     """Periodic set with one residue at the start of each block, first at 0."""
-    period = sum(blocks.sizes)
-    residues = set()
-    at = 0
-    for b in blocks.sizes:
-        residues.add(at)
-        at += b
-    return PeriodicSet(period, frozenset(residues))
+    sizes = blocks.sizes
+    return PeriodicSet(sum(sizes), frozenset(accumulate(sizes[:-1], initial=0)))
+
+
+def covers_cycle(n: int, a: Collection[int], b: Collection[int]) -> bool:
+    """Whether A + B = Z_n, for two sets of residues in [0, n).
+
+    Coverage is the OR of the rotations of one n-bit residue mask: the
+    larger set becomes the mask, in one pass that writes an n-digit binary
+    numeral, and the mask is rotated by each element of the smaller set.
+    That costs min(|A|, |B|) shifts of n-bit integers.  If |A| * |B| < n
+    no mask is built, since A + B has at most that many elements.
+    """
+    if len(a) * len(b) < n:
+        return False
+    if len(a) < len(b):
+        a, b = b, a
+    digits = bytearray(b"0") * n
+    for r in a:
+        digits[r] = 49  # ord("1")
+    # digit r from the left is bit r once the numeral is reversed
+    mask = int(digits[::-1], 2)
+    acc = 0
+    for t in b:
+        acc |= mask << t
+    full = (1 << n) - 1
+    # bit r + t of acc, for r + t >= n, stands for the residue r + t - n
+    return (acc | acc >> n) & full == full

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .model import CirculantInstance, ConsistencyError, DifferenceSet
+from .model import CirculantInstance, ConsistencyError, DifferenceSet, covers_cycle
 
 try:
     from . import _core as _kernel
@@ -175,17 +175,17 @@ def gamma_bruteforce(inst: CirculantInstance) -> int:
 
 
 def verify_witness(inst: CirculantInstance, witness: frozenset[int]) -> bool:
-    """Whether witness dominates the instance; residues must be in range."""
+    """Whether witness dominates the instance; residues must be in range.
+
+    The check is model.covers_cycle: an OR of the rotations of one n-bit
+    mask, built from the larger of witness and the offsets and rotated by
+    each element of the smaller.
+    """
     n = inst.modulus
     for w in witness:
         if not 0 <= w < n:
             raise ValueError(f"witness residue {w} outside [0, {n})")
-    offsets = _offsets(inst)
-    covered = set()
-    for w in witness:
-        for t in offsets:
-            covered.add((w + t) % n)
-    return len(covered) == n
+    return covers_cycle(n, witness, _offsets(inst))
 
 
 def perfect_code_exists(inst: CirculantInstance) -> frozenset[int] | None:

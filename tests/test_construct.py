@@ -51,6 +51,11 @@ def test_candidate_densities_match_formula_terms():
         (14, {0, 4, 9, 13}, (1, 2, 8), True),
         (7, {0, 4}, (1, 2, -4), True),
         (4, {1}, (-5,), False),
+        (1, set(), (1,), False),
+        (1, {0}, (-7, 3), True),
+        (6, {0, 3}, (1, 7), False),  # 1 and 7 collide mod 6
+        (6, {0, 3}, (-5, 14), True),  # -5 = 1, 14 = 2 mod 6
+        (6, {0, 2}, (1, 2), False),  # |A| * |B| == 6, but 5 is missed
     ],
 )
 def test_verify_dominating(period, residues, steps, expected):
@@ -67,6 +72,10 @@ def test_verify_dominating(period, residues, steps, expected):
         (2, {0}, (3,), True),
         (4, {0}, (1, 2, 3), True),
         (4, {0}, (1, 5), False),  # 1 and 5 collide mod 4, double cover
+        (1, set(), (1,), False),
+        (1, {0}, (1,), False),  # 0 and 1 both land on the one residue
+        (6, {0, 3}, (-5, 14), True),
+        (6, {0, 2}, (1, 2), False),  # the count is right, the cover is not
     ],
 )
 def test_verify_efficient(period, residues, steps, expected):

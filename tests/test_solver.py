@@ -149,8 +149,9 @@ def test_verify_witness():
     assert verify_witness(inst, frozenset({0, 1})) is False
     inst = CirculantInstance(5, frozenset({1, 2}))
     assert verify_witness(inst, frozenset({0, 2})) is True
-    with pytest.raises(ValueError):
-        verify_witness(inst, frozenset({5}))
+    for w in (-1, 5):
+        with pytest.raises(ValueError, match=r"outside \[0, 5\)"):
+            verify_witness(inst, frozenset({0, w}))
 
 
 @pytest.mark.parametrize(
