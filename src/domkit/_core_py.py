@@ -8,7 +8,16 @@ by depth-first branch and bound over coverage bitmasks:
     coverage, gain[v] == popcount(cover[v] & ~covered), and since gains
     only fall, the scan for the next pick resumes at the last one and
     still finds the pick a full rescan would (see greedy)
-  - branch vertex: uncovered x with fewest allowed dominators
+  - branch vertex: uncovered x with fewest allowed dominators, the
+    lowest on ties; the pass looks only at the uncovered targets in
+    touched, the union of cover[v] over the excluded vertices v, and at
+    the lowest uncovered target outside it.  A target outside touched
+    keeps all k distinct dominators, the most any target has, and the
+    pass, in ascending order, keeps only a strictly smaller count, so
+    of those targets only the lowest can be picked; the lowest
+    uncovered target is always looked at, so the same x is picked,
+    also when the pass stops at a count of 0 or 1.  A node costs
+    |touched & uncovered| + 1 targets instead of |uncovered|
   - branch order: dominators by descending fresh coverage, then index
   - completeness: after a dominator is tried it is excluded from the rest
     of the node, so subtrees never overlap
@@ -17,10 +26,10 @@ by depth-first branch and bound over coverage bitmasks:
     some element onto 0, so the optimum is preserved
   - explicit stack: the depth-first walk is one loop, so its depth (one
     level per chosen vertex) never meets the recursion limit; a node gets
-    a stack frame (its uncovered and allowed masks, branch order and next
-    child) only while it has a child left after the one entered; no
-    closure refers to itself, so the tables are freed on return, not by
-    the cyclic garbage collector
+    a stack frame (its uncovered, allowed and touched masks, branch
+    order and next child) only while it has a child left after the one
+    entered; no closure refers to itself, so the tables are freed on
+    return, not by the cyclic garbage collector
   - set-up: the root needs only its uncovered count, n minus the distinct
     offsets, so the n-row cover and dom tables are built only when the
     greedy bound does not already cut the root
@@ -63,8 +72,9 @@ The period scan (domkit.search) passes ceil(p * rho) with rho the
 closed-form ratio, so there the result trusts the closed form.
 
 The compiled twin in domkit._core enters those last-level children
-instead; it walks the same tree and both must return identical (size,
-witness, explored) triples, for every lb.
+instead and looks at every uncovered target for the branch vertex; it
+walks the same tree and both must return identical (size, witness,
+explored) triples, for every lb.
 """
 
 from __future__ import annotations
@@ -151,6 +161,7 @@ def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, i
 
     uncovered = full ^ cover[0]
     allowed = full
+    touched = 0
     chosen = 1
     explored = 1
     # a branch order key is (uncovered targets after v) << shift | v
@@ -160,8 +171,11 @@ def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, i
     push = stack.append
     pop = stack.pop
     while True:
-        # the current node is entered: not full and not cut by the bound
-        rem = uncovered
+        # the current node is entered: not full and not cut by the bound;
+        # a target outside touched has the most dominators, so of those
+        # only the lowest can be picked
+        rem = uncovered & ~touched
+        rem = (uncovered & touched) | (rem & -rem)
         bx_cands = 0
         bx_count = n + 1
         while rem:
@@ -195,7 +209,7 @@ def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, i
                     if best_size - size != 3:
                         if i + 1 < count:
                             push((uncovered, chosen, size, left, need, order, count, i + 1,
-                                  allowed ^ (1 << v)))
+                                  allowed ^ (1 << v), touched | cover[v]))
                         uncovered &= ~cover[v]
                         chosen |= 1 << v
                         size += 1
@@ -224,6 +238,7 @@ def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, i
                         # every grandchild is cut: count them, try the next child
                         explored += bx_count
                         allowed ^= 1 << v
+                        touched |= cover[v]
                         i += 1
                         continue
                     explored += 1
@@ -247,7 +262,7 @@ def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, i
                         return best_size, best_mask, explored
             # this node is done: resume the nearest one the bound allows
             while stack:
-                uncovered, chosen, size, left, need, order, count, i, allowed = pop()
+                uncovered, chosen, size, left, need, order, count, i, allowed, touched = pop()
                 if size + need < best_size:
                     break
             else:

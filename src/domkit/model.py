@@ -31,7 +31,10 @@ def parse_ratio(text: str) -> Fraction:
     num, _, den = text.partition("/")
     if not den:
         raise ValueError(f"expected 'num/den', got {text!r}")
-    return Fraction(int(num), int(den))
+    num, den = int(num), int(den)
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

@@ -307,6 +307,24 @@ def test_repeat_invocations_byte_identical(capsys):
     assert first == second
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        # a 151,050-node search and a 44,056-node one: explored is pinned
+        (("gamma", "--n", "30", "--set", "14,15"), "gamma_n30_set14_15.out"),
+        (("gamma", "--n", "46", "--set", "1,4"), "gamma_n46_set1_4.out"),
+        (("search", "--set", "1,4", "--max-period", "48"), "search_set1_4_max48.out"),
+    ],
+)
+def test_stdout_matches_golden_bytes(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text()
+
+
 HUGE = 99999999999999999999
 
 

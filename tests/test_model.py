@@ -23,8 +23,9 @@ def test_format_parse_examples():
     assert format_ratio(Fraction(2, 5)) == "2/5"
     assert format_ratio(Fraction(4, 14)) == "2/7"
     assert parse_ratio("2/5") == Fraction(2, 5)
-    with pytest.raises(ValueError):
-        parse_ratio("0.4")
+    for text in ("0.4", "1/2/3", "1.5/2", "1/0", "0/-0"):
+        with pytest.raises(ValueError):
+            parse_ratio(text)
 
 
 @given(st.integers(-10**9, 10**9), st.integers(1, 10**9))

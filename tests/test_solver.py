@@ -16,6 +16,7 @@ import pytest
 
 import domkit._core_py as core_py
 from domkit import solver
+from domkit.formula import domination_ratio, family_set
 from domkit.model import CirculantInstance, DifferenceSet
 from domkit.solver import (
     MAX_MODULUS,
@@ -327,6 +328,25 @@ def test_solve_cover_matches_recursive_solve_cover():
         n = rng.randint(25, 32)
         offsets = [0] + rng.sample(range(1, n), rng.randint(1, 4))
         assert core_py.solve_cover(n, offsets) == recursive_solve_cover(n, offsets)
+    # many offsets, so few targets per node and many dominators per target
+    for _ in range(300):
+        n = rng.randint(1, 32)
+        offsets = [rng.randint(-100, 100) for _ in range(rng.randint(1, 12))]
+        assert core_py.solve_cover(n, offsets) == recursive_solve_cover(n, offsets)
+    # one distinct residue, so every target has a single dominator, and
+    # still a search past the root
+    for n, offsets, explored in [(5, [0, 0, 0], 4), (6, [0, 0, 3, 3, 3], 3)]:
+        pure = core_py.solve_cover(n, offsets)
+        assert pure[2] == explored
+        assert pure == recursive_solve_cover(n, offsets)
+    # sparse 2-step sets, where the targets an excluded vertex covers are
+    # far fewer than the uncovered ones
+    for n in range(36, 49, 4):
+        offsets = [0] + sorted(rng.sample(range(1, 9), 2))
+        assert core_py.solve_cover(n, offsets) == recursive_solve_cover(n, offsets)
+    pure = core_py.solve_cover(46, [0, 1, 4])
+    assert (pure[0], pure[2]) == (19, 44056)
+    assert pure == recursive_solve_cover(46, [0, 1, 4])
     # a deep tree: 151,050 nodes
     assert core_py.solve_cover(30, [0, 1, 16]) == recursive_solve_cover(30, [0, 1, 16])
 
@@ -533,6 +553,20 @@ def test_kernels_agree_bit_for_bit(core_c):
         assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, offsets)
     # a deep search: 250 chosen vertices
     assert core_py.solve_cover(1250, [0, 1, 2, 3, -6]) == core_c.solve_cover(1250, [0, 1, 2, 3, -6])
+    # the period scan's traffic: each family member's quotients, with the
+    # floor ceil(p * rho) that search_ratio passes
+    scanned = set()
+    for d in (3, 4, 5):
+        for s in range(-14, 15):
+            if 0 <= s <= d - 2:
+                continue
+            rho = domination_ratio(d, s).value
+            for p in range(1, 33):
+                inst = reduce_mod(family_set(d, s), p)
+                scanned.add((p, tuple(sorted(inst.connection | {0})), math.ceil(p * rho)))
+    assert len(scanned) == 1477
+    for n, offsets, lb in sorted(scanned):
+        assert core_py.solve_cover(n, offsets, lb) == core_c.solve_cover(n, offsets, lb)
 
 
 # run by a child interpreter with the sanitizer runtime preloaded:
