@@ -82,12 +82,11 @@ def _family_ratio(steps: DifferenceSet) -> Fraction | None:
 def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> SearchReport:
     """Scan periods 1..max_period and report the best certified ratio.
 
-    Each period's certificate comes from gamma_shared, so a quotient that
+    Each period's gamma comes from gamma_shared, so a quotient that
     x -> +-x + a maps onto one solved earlier in the process is not solved
     again; within one scan every modulus differs, so such hits come from
-    earlier scans.  best_period's witness must dominate its own offsets:
-    a certificate solved for another member of the class is solved again
-    for steps.
+    earlier scans.  The witness is always solved for best_period's own
+    offsets, and its gamma must be the scan's.
 
     For a family member (_family_ratio), the kernel stops at the floor
     ceil(p * rho) at period p: any cover of Z_p lifts to a periodic
@@ -108,18 +107,12 @@ def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> Search
         raise ValueError(f"max_period {max_period} above the solver limit {MAX_MODULUS}")
     rho = _family_ratio(steps) or Fraction(0)  # no closed form: floor 0
     floors = [-(-p * rho.numerator // rho.denominator) for p in range(max_period + 1)]
-    shared = [gamma_shared(reduce_mod(steps, p), floors[p]) for p in range(1, max_period + 1)]
-    per_period = tuple(
-        (p, cert.gamma, Fraction(cert.gamma, p)) for p, (cert, _) in enumerate(shared, start=1)
-    )
+    gammas = [gamma_shared(reduce_mod(steps, p), floors[p]) for p in range(1, max_period + 1)]
+    per_period = tuple((p, g, Fraction(g, p)) for p, g in enumerate(gammas, start=1))
     best_p, best_gamma, best_ratio = min(per_period, key=lambda row: (row[2], row[0]))
-    cert, own = shared[best_p - 1]
-    if not own:
-        cert = _certify(reduce_mod(steps, best_p), floors[best_p])
-        if cert.gamma != best_gamma:
-            raise ConsistencyError(
-                f"period {best_p}: solved again {cert.gamma} != scan {best_gamma}"
-            )
+    cert = _certify(reduce_mod(steps, best_p), floors[best_p])
+    if cert.gamma != best_gamma:
+        raise ConsistencyError(f"period {best_p}: solved again {cert.gamma} != scan {best_gamma}")
     witness = PeriodicSet(best_p, cert.witness)
     if not verify_dominating(witness, steps):
         raise ConsistencyError("scan produced a non-dominating witness")

@@ -5,7 +5,7 @@ kernel is the C extension (domkit._core) if it imports, else its
 pure-Python twin (domkit._core_py).  gamma_bruteforce is a
 deliberately naive oracle that shares no search logic with the kernel:
 it tries every subset in increasing cardinality order.  gamma_shared
-serves the period scan: it keeps one certificate per class of instances
+serves the period scan: it keeps gamma alone, one per class of instances
 that a map x -> +-x + a carries onto each other.
 """
 
@@ -91,14 +91,13 @@ def _certify(inst: CirculantInstance, lb: int) -> GammaCertificate:
     return GammaCertificate(size, witness, explored)
 
 
-# gamma_shared keeps certificates until their witnesses hold this many
-# residues in all, then drops the oldest first: one certificate at
-# MAX_MODULUS can hold 8192, a scan round to period 32 keeps ~700 small ones
+# gamma_shared keeps gammas until their class keys hold this many residues
+# in all, then drops the oldest first: one key at MAX_MODULUS can hold
+# 8192, a scan round to period 32 keeps ~700 keys of at most 5
 MAX_CACHED_RESIDUES = 2**20
 
-# (n, class key) -> (the offsets solved, their certificate)
-_gamma_cache: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], GammaCertificate]] = {}
-_cached_residues = 0  # witness residues held in _gamma_cache
+_gamma_cache: dict[tuple[int, tuple[int, ...]], int] = {}  # (n, class key) -> gamma
+_cached_residues = 0  # class-key residues held in _gamma_cache
 
 
 def _class_key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
@@ -114,30 +113,26 @@ def _class_key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(itertools.accumulate(best[:-1], initial=0))
 
 
-def gamma_shared(inst: CirculantInstance, lb: int = 0) -> tuple[GammaCertificate, bool]:
-    """A certificate for the class of inst under x -> +-x + a, and whether
-    it was solved for inst's own offsets.
+def gamma_shared(inst: CirculantInstance, lb: int = 0) -> int:
+    """gamma of inst, shared across its class under x -> +-x + a.
 
-    gamma is the certificate's for every member of the class; its witness
-    dominates only the offsets solved.  A class met for the first time is
-    solved with the kernel's floor lb, which must be a proven lower bound
-    on gamma, and kept, up to MAX_CACHED_RESIDUES witness residues in all.
-    Its certificate is gamma_exact's but for explored.
+    A class met for the first time is solved for inst with the kernel's
+    floor lb, which must be a proven lower bound on gamma; its gamma is
+    kept, up to MAX_CACHED_RESIDUES class-key residues in all.  No witness
+    is kept: one dominates only the offsets it was solved for.
     """
     global _cached_residues
     n = inst.modulus
-    offsets = _offsets(inst)
-    key = (n, _class_key(n, offsets))
-    entry = _gamma_cache.get(key)
-    if entry is None:
-        cert = _certify(inst, lb)
-        entry = _gamma_cache[key] = (offsets, cert)
-        _cached_residues += len(cert.witness)
+    key = (n, _class_key(n, _offsets(inst)))
+    gamma = _gamma_cache.get(key)
+    if gamma is None:
+        gamma = _gamma_cache[key] = _certify(inst, lb).gamma
+        _cached_residues += len(key[1])
         while _cached_residues > MAX_CACHED_RESIDUES:
-            _, oldest = _gamma_cache.pop(next(iter(_gamma_cache)))
-            _cached_residues -= len(oldest.witness)
-    solved, cert = entry
-    return cert, solved == offsets
+            oldest = next(iter(_gamma_cache))
+            del _gamma_cache[oldest]
+            _cached_residues -= len(oldest[1])
+    return gamma
 
 
 def _bits(mask: int):
@@ -145,6 +140,18 @@ def _bits(mask: int):
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+def _cover_rows(n: int, offsets) -> list[int]:
+    """Row v is the bitmask of the targets v + offsets mod n; the oracle
+    and perfect_code_exists build their rows here, not from the kernel."""
+    rows = []
+    for v in range(n):
+        mask = 0
+        for t in offsets:
+            mask |= 1 << ((v + t) % n)
+        rows.append(mask)
+    return rows
 
 
 def gamma_bruteforce(inst: CirculantInstance) -> int:
@@ -156,13 +163,7 @@ def gamma_bruteforce(inst: CirculantInstance) -> int:
     n = inst.modulus
     if n > 24:
         raise ValueError("oracle size limit")
-    offsets = _offsets(inst)
-    cover = []
-    for v in range(n):
-        mask = 0
-        for t in offsets:
-            mask |= 1 << ((v + t) % n)
-        cover.append(mask)
+    cover = _cover_rows(n, _offsets(inst))
     full = (1 << n) - 1
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -203,12 +204,7 @@ def perfect_code_exists(inst: CirculantInstance) -> frozenset[int] | None:
     m = len(offsets)
     if n % m:
         return None
-    cover = []
-    for v in range(n):
-        mask = 0
-        for t in offsets:
-            mask |= 1 << ((v + t) % n)
-        cover.append(mask)
+    cover = _cover_rows(n, offsets)
     full = (1 << n) - 1
 
     # depth-first over "which vertex covers the most constrained uncovered

@@ -11,7 +11,7 @@ from domkit.construct import verify_dominating
 from domkit.formula import domination_ratio, family_set
 from domkit.model import ConsistencyError, DifferenceSet, PeriodicSet
 from domkit.search import consistency_check, period_bound, search_ratio
-from domkit.solver import GammaCertificate, gamma_exact, reduce_mod
+from domkit.solver import gamma_exact, reduce_mod
 
 
 @pytest.mark.parametrize(
@@ -63,9 +63,8 @@ def test_search_ratio_matches_gamma_exact_reference(monkeypatch, empty_caches, d
 
     monkeypatch.setattr(solver._kernel, "solve_cover", counted)
     reports.append(search_ratio(family_set(d, members[1]), cap))
-    # the kernel runs for the best period's witness at most; the first scan
-    # holds it already where both members reduce alike, as -14 = 15 mod 29
-    assert solved in ([], [reports[1].best_period])
+    # the kernel runs once, for the witness at the mirror's best period
+    assert solved == [reports[1].best_period]
     for member, report in zip(members, reports):
         empty_caches()
         steps = family_set(d, member)
@@ -77,16 +76,11 @@ def test_search_ratio_matches_gamma_exact_reference(monkeypatch, empty_caches, d
 
 
 def test_search_ratio_rejects_a_wrong_shared_gamma(empty_caches):
-    # a class certificate below gamma(Z_5, {0, 1, 4}) = 2 makes period 5 the
-    # best.  Solved for other offsets of the class, {0, 1, 2}, it is solved
-    # again and gamma_exact disagrees; solved for {0, 1, 4} itself, its
-    # witness is kept and does not dominate
-    wrong = GammaCertificate(1, frozenset({0}), 1)
-    for solved, match in [((0, 1, 2), "period 5"), ((0, 1, 4), "non-dominating")]:
-        solver._gamma_cache[(5, (0, 1, 2))] = (solved, wrong)
-        with pytest.raises(ConsistencyError, match=match):
-            search_ratio(DifferenceSet((1, 4)), 8)
-        empty_caches()
+    # a class gamma below gamma(Z_5, {0, 1, 4}) = 2 makes period 5 the best;
+    # the witness solve there, for {0, 1, 4} itself, finds 2
+    solver._gamma_cache[(5, (0, 1, 2))] = 1
+    with pytest.raises(ConsistencyError, match="period 5"):
+        search_ratio(DifferenceSet((1, 4)), 8)
 
 
 def test_search_ratio_rejects_a_planted_wrong_ratio(monkeypatch, empty_caches):
@@ -114,12 +108,13 @@ def test_search_ratio_passes_the_floor_to_the_kernel(monkeypatch, empty_caches):
         return solve_cover(n, offsets, lb)
 
     monkeypatch.setattr(solver._kernel, "solve_cover", recorded)
-    search_ratio(family_set(3, 4), 12)
-    assert floors == [(p, -(-2 * p // 5)) for p in range(1, 13)]
+    # then the best period again for its witness, with the same floor
+    assert search_ratio(family_set(3, 4), 12).best_period == 5
+    assert floors == [(p, -(-2 * p // 5)) for p in range(1, 13)] + [(5, 2)]
     floors.clear()
     empty_caches()  # {2, 5} shares classes with {1, 4} at small periods
-    search_ratio(DifferenceSet((2, 5)), 12)
-    assert floors == [(p, 0) for p in range(1, 13)]
+    best = search_ratio(DifferenceSet((2, 5)), 12).best_period
+    assert floors == [(p, 0) for p in range(1, 13)] + [(best, 0)]
 
 
 def test_search_ratio_at_most_one():
