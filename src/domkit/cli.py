@@ -67,7 +67,8 @@ def cmd_construct(args) -> int:
     if args.verify:
         steps = family_set(args.d, args.s)
         verified = verify_dominating(pset, steps)
-        lemma = check_block_lemma(pset, args.d, args.s)
+        # the lemma bounds the blocks of a dominating set, so it needs one
+        lemma = verified and check_block_lemma(pset, args.d, args.s)
         payload["verified"] = verified
         payload["block_lemma"] = lemma
         if not (verified and lemma):

@@ -6,18 +6,17 @@ Three block-structure templates cover every non-modular case:
     (d^(k-1), d+e, d^(k-1), 1^e)   density (2k+e-1)/(2dk-d+2e)
     (d-1)                          density 1/(d-1)
 
-One of them always matches the closed-form minimum; construct_best picks
-the first template in the order above whose block density matches,
-converts only that one to a periodic set, and refuses to return anything
-that fails the domination check.  Checking one period is exact for the
-periodic lift to Z, and the check is an OR of the rotations of one n-bit
-residue mask (model.covers_cycle): min(|residues|, |steps| + 1) shifts
-of a period-long integer.
+Their densities are the three terms of the closed form, in the order
+formula.domination_ratio lists them.  construct_best takes the template
+of the term that the case split names, converts only that one to a
+periodic set, and refuses to return anything whose density is not the
+ratio or that fails the domination check.  Checking one period is exact
+for the periodic lift to Z, and the check is an OR of the rotations of
+one n-bit residue mask (model.covers_cycle): min(|residues|, |steps| + 1)
+shifts of a period-long integer.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .formula import RatioCase, RatioResult, domination_ratio, family_set
 from .model import (
@@ -37,9 +36,16 @@ from .model import (
 # built as a tuple of blocks and a set of residues one period long
 MAX_PERIOD = 2**20
 
+# index in candidate_structures of the template whose density is the case's term
+_TEMPLATE_OF = {RatioCase.CASE_E_GE_2: 0, RatioCase.CASE_E_EQ_1: 1, RatioCase.CASE_D_MINUS_1: 2}
+
 
 def candidate_structures(dec: Decomposition) -> list[BlockStructure]:
-    """The three templates instantiated at (d, k, e); d-runs vanish at k=1."""
+    """The three templates instantiated at (d, k, e); d-runs vanish at k=1.
+
+    Their order follows the three RatioCase terms, CASE_E_GE_2, CASE_E_EQ_1
+    and CASE_D_MINUS_1: each template's block density is its case's term.
+    """
     d, k, e = dec.d, dec.k, dec.e
     first = (d,) * k + (e,)
     second = (d,) * (k - 1) + (d + e,) + (d,) * (k - 1) + (1,) * e
@@ -85,13 +91,7 @@ def construct_best(d: int, s: int) -> tuple[PeriodicSet, RatioResult]:
     if result.case is RatioCase.EDS_MOD:
         pset = PeriodicSet(d, frozenset({0}))
     else:
-        pset = None
-        for blocks in candidate_structures(dec):
-            if Fraction(len(blocks.sizes), sum(blocks.sizes)) == result.value:
-                pset = block_to_periodic(blocks)
-                break
-        if pset is None:
-            raise ConsistencyError(f"no template matches the ratio for ({d}, {s})")
+        pset = block_to_periodic(candidate_structures(dec)[_TEMPLATE_OF[result.case]])
     if density(pset) != result.value or not verify_dominating(pset, steps):
         raise ConsistencyError(f"construction invalid for ({d}, {s})")
     return pset, result

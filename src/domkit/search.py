@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construct import construct_best, verify_dominating
+from .construct import construct_best
 from .formula import RatioResult, domination_ratio, family_set
 from .model import ConsistencyError, DifferenceSet, PeriodicSet
 from .solver import MAX_MODULUS, _certify, gamma_shared, reduce_mod
@@ -86,7 +86,8 @@ def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> Search
     x -> +-x + a maps onto one solved earlier in the process is not solved
     again; within one scan every modulus differs, so such hits come from
     earlier scans.  The witness is always solved for best_period's own
-    offsets, and its gamma must be the scan's.
+    offsets, and its gamma must be the scan's; _certify has checked that it
+    covers {0} | steps mod best_period, which is its lift dominating Z.
 
     For a family member (_family_ratio), the kernel stops at the floor
     ceil(p * rho) at period p: any cover of Z_p lifts to a periodic
@@ -113,13 +114,10 @@ def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> Search
     cert = _certify(reduce_mod(steps, best_p), floors[best_p])
     if cert.gamma != best_gamma:
         raise ConsistencyError(f"period {best_p}: solved again {cert.gamma} != scan {best_gamma}")
-    witness = PeriodicSet(best_p, cert.witness)
-    if not verify_dominating(witness, steps):
-        raise ConsistencyError("scan produced a non-dominating witness")
     return SearchReport(
         best_ratio=best_ratio,
         best_period=best_p,
-        best_witness=witness,
+        best_witness=PeriodicSet(best_p, cert.witness),
         per_period=per_period,
         cap=max_period,
         theoretical_cap_note=_cap_note(steps),

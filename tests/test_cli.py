@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import domkit.cli as cli
 import domkit.solver as solver
 from domkit.formula import domination_ratio
-from domkit.model import parse_ratio
+from domkit.model import PeriodicSet, parse_ratio
 
 
 def run(capsys, *argv):
@@ -234,6 +234,18 @@ def test_exit_3_on_internal_disagreement(capsys, monkeypatch):
     assert json.loads(out)["oracle_agrees"] is False
 
 
+def test_construct_verify_exits_3_on_non_dominating_set(capsys, monkeypatch):
+    # the block lemma is defined only on dominating sets, so it must not run
+    bad = (PeriodicSet(14, frozenset({0})), domination_ratio(4, 8))
+    monkeypatch.setattr(cli, "construct_best", lambda d, s: bad)
+    code, out, err = run(capsys, "construct", "--d", "4", "--s", "8", "--verify")
+    assert code == 3
+    assert "internal consistency failure" in err
+    payload = json.loads(out)
+    assert payload["verified"] is False
+    assert payload["block_lemma"] is False
+
+
 @pytest.mark.parametrize("which", ["d4", "circulant"])
 def test_table_check_exits_3_on_wrong_gamma(capsys, monkeypatch, which):
     gamma_exact = cli.gamma_exact
@@ -317,6 +329,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         (("gamma", "--n", "30", "--set", "14,15"), "gamma_n30_set14_15.out"),
         (("gamma", "--n", "46", "--set", "1,4"), "gamma_n46_set1_4.out"),
         (("search", "--set", "1,4", "--max-period", "48"), "search_set1_4_max48.out"),
+        # one construct --verify per RatioCase
+        (("construct", "--d", "3", "--s", "4", "--verify"), "construct_d3_s4.out"),
+        (("construct", "--d", "3", "--s", "-14", "--verify"), "construct_d3_s-14.out"),
+        (("construct", "--d", "6", "--s", "8", "--verify"), "construct_d6_s8.out"),
+        (("construct", "--d", "4", "--s", "7", "--verify"), "construct_d4_s7.out"),
     ],
 )
 def test_stdout_matches_golden_bytes(capsys, argv, name):

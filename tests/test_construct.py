@@ -115,8 +115,8 @@ def test_construct_best_examples(d, s, period, residues):
 
 
 def test_construct_best_grid():
-    for d in range(2, 7):
-        for s in range(-16, 17):
+    for d in range(2, 13):
+        for s in range(-200, 201):
             if 0 <= s <= d - 2:
                 continue
             pset, result = construct_best(d, s)
@@ -124,6 +124,15 @@ def test_construct_best_grid():
             assert verify_dominating(pset, steps)
             assert density(pset) == result.value
             assert check_block_lemma(pset, d, s)
+            if result.case is RatioCase.EDS_MOD:
+                continue
+            # the case's template is the first one whose density is the ratio
+            first = next(
+                blocks
+                for blocks in candidate_structures(result.decomposition)
+                if Fraction(len(blocks.sizes), sum(blocks.sizes)) == result.value
+            )
+            assert pset == block_to_periodic(first)
 
 
 def test_construct_best_errors():

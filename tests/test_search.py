@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import subprocess
 import sys
@@ -215,6 +216,25 @@ def test_consistency_check_examples(d, s, cap, attained_at):
 
 def test_consistency_check_example_ratio():
     assert consistency_check(5, 6, 20).formula.value == Fraction(1, 4)
+
+
+def test_consistency_check_reports_violations(monkeypatch):
+    # a formula 1/100 above the true 2/7 is beaten by the scan at period 14
+    construct_best = search.construct_best
+
+    def raised_ratio(d, s):
+        pset, result = construct_best(d, s)
+        return pset, dataclasses.replace(result, value=result.value + Fraction(1, 100))
+
+    monkeypatch.setattr(search, "construct_best", raised_ratio)
+    report = consistency_check(4, 8, 20)
+    assert not report.consistent
+    assert not report.attained_at_construction
+    assert report.violations == (
+        "scan minimum 2/7 != formula 207/700",
+        "period 14 beats the formula: 4/14",
+        "constructed period 14 does not attain the formula",
+    )
 
 
 def test_consistency_cap_too_small():
