@@ -31,18 +31,15 @@ from .model import (
     Decomposition,
     DifferenceSet,
     PeriodicSet,
-    Rational,
     block_to_periodic,
     blocks_of,
     density,
     format_ratio,
-    parse_ratio,
 )
 from .search import (
     ConsistencyReport,
     SearchReport,
     consistency_check,
-    period_bound,
     search_ratio,
 )
 from .solver import (
@@ -66,7 +63,6 @@ __all__ = [
     "DifferenceSet",
     "GammaCertificate",
     "PeriodicSet",
-    "Rational",
     "RatioCase",
     "RatioResult",
     "SearchReport",
@@ -87,9 +83,7 @@ __all__ = [
     "general_bounds",
     "kernel_name",
     "normalize",
-    "parse_ratio",
     "perfect_code_exists",
-    "period_bound",
     "reduce_mod",
     "search_ratio",
     "verify_dominating",

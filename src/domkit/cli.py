@@ -139,7 +139,7 @@ def _confirm(steps: DifferenceSet, n: int, expected: int) -> str:
     return str(cert.gamma)
 
 
-def _family_rows(d: int, forms, k_max: int):
+def _family_rows(forms, k_max: int):
     """Rows (family, k, s, num, den) for one closed-form table."""
     for label, s_of_k, num_of_k, den_of_k, k_min in forms:
         for k in range(k_min, k_max + 1):
@@ -178,7 +178,7 @@ def _emit_closed_form_table(d: int, forms, specials, args) -> None:
     if specials:
         for s, num, den in specials:
             _emit_form_row(d, "special", 1, s, num, den, args)
-    for label, k, s, num, den in _family_rows(d, forms, args.k_max):
+    for label, k, s, num, den in _family_rows(forms, args.k_max):
         _emit_form_row(d, label, k, s, num, den, args)
 
 

@@ -99,7 +99,10 @@ def construct_best(d: int, s: int) -> tuple[PeriodicSet, RatioResult]:
 
 def check_block_lemma(pset: PeriodicSet, d: int, s: int) -> bool:
     """Whether all blocks obey the size bound that any dominating set of the
-    family must satisfy: b <= s+1 for s > 0, b <= -s+d-1 for s < 0."""
+    family must satisfy: b <= s+1 for s > 0, b <= -s+d-1 for s < 0.
+
+    Raises ValueError if pset does not dominate, since the bound holds
+    only for dominating sets."""
     steps = family_set(d, s)
     if not verify_dominating(pset, steps):
         raise ValueError("not a dominating set")

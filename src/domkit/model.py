@@ -1,10 +1,9 @@
 """Shared exact-arithmetic types for domination in Cayley digraphs of Z and Z_n.
 
-All densities and ratios are exact rationals; floats never enter a math path.
-The Rational type is the stdlib Fraction, which already guarantees lowest
-terms and a positive denominator.  Periodic subsets of Z are stored as one
-period worth of residues; block structures are an equivalent gap-sequence
-view of the same sets and conversions between the two are lossless.
+All densities and ratios are exact rationals (stdlib Fraction); floats
+never enter a math path.  Periodic subsets of Z are stored as one period
+worth of residues; block structures are an equivalent gap-sequence view
+of the same sets and conversions between the two are lossless.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-Rational = Fraction
-
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed that a proven identity says cannot."""
@@ -24,17 +21,6 @@ class ConsistencyError(RuntimeError):
 def format_ratio(value: Fraction) -> str:
     """Render a rational as the stable "num/den" wire form, e.g. "2/5"."""
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_ratio(text: str) -> Fraction:
-    """Inverse of format_ratio.  Accepts only "num/den" with integer parts."""
-    num, _, den = text.partition("/")
-    if not den:
-        raise ValueError(f"expected 'num/den', got {text!r}")
-    num, den = int(num), int(den)
-    if not den:
-        raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -88,10 +74,6 @@ class PeriodicSet:
     def to_json(self) -> dict:
         return {"period": self.period, "residues": sorted(self.residues)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PeriodicSet":
-        return cls(obj["period"], frozenset(obj["residues"]))
-
 
 @dataclass(frozen=True)
 class BlockStructure:
@@ -110,13 +92,6 @@ class BlockStructure:
         if min(sizes) < 1:
             raise ValueError("block sizes must be positive")
         object.__setattr__(self, "sizes", sizes)
-
-    def to_json(self) -> dict:
-        return {"sizes": list(self.sizes)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BlockStructure":
-        return cls(tuple(obj["sizes"]))
 
 
 @dataclass(frozen=True)

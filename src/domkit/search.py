@@ -50,12 +50,6 @@ def _span(steps: DifferenceSet) -> int:
     return max(max(steps.elements), 0) - min(min(steps.elements), 0)
 
 
-def period_bound(steps: DifferenceSet) -> tuple[int, int]:
-    """(c, c * 2^c) where c is the span of the step set together with 0."""
-    c = _span(steps)
-    return c, c * 2**c
-
-
 def _cap_note(steps: DifferenceSet) -> str:
     c = _span(steps)
     bound = "c*2^c"

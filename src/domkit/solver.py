@@ -83,6 +83,8 @@ def _certify(inst: CirculantInstance, lb: int) -> GammaCertificate:
     _check_modulus(n)
     offsets = _offsets(inst)
     size, mask, explored = _kernel.solve_cover(n, list(offsets), lb)
+    if mask >> n:  # a negative mask too, which _bits would never exhaust
+        raise ConsistencyError(f"kernel returned a mask outside Z_{n} for {(n, offsets)}")
     witness = frozenset(_bits(mask))
     if not verify_witness(inst, witness) or len(witness) != size:
         raise ConsistencyError(f"kernel returned an invalid witness for {(n, offsets)}")

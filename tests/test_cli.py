@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import domkit.cli as cli
 import domkit.solver as solver
 from domkit.formula import domination_ratio
-from domkit.model import PeriodicSet, parse_ratio
+from domkit.model import PeriodicSet
 
 
 def run(capsys, *argv):
@@ -160,7 +160,7 @@ def test_search_upper_bound_only(capsys):
     assert code == 0
     payload = json.loads(out)
     # a superset of {1,4} cannot do worse than 2/5 at the same or larger cap
-    assert parse_ratio(payload["best_ratio"]) <= Fraction(2, 5)
+    assert Fraction(payload["best_ratio"]) <= Fraction(2, 5)
 
 
 def test_search_normalize(capsys):
@@ -185,7 +185,7 @@ def test_table_d4(capsys):
     assert by_key[("s=4k", 3)][2:] == ["12", "3/11"]
     assert by_key[("s=-4k", 2)][2:] == ["-8", "3/11"]
     for family, k, s, ratio in rows:
-        assert parse_ratio(ratio) == domination_ratio(4, int(s)).value
+        assert Fraction(ratio) == domination_ratio(4, int(s)).value
 
 
 def test_table_d5(capsys):
@@ -200,7 +200,7 @@ def test_table_d5(capsys):
     assert all(r[3] == "1/4" for r in specials)
     assert ["s=5k", "2", "10", "4/17"] in rows
     for family, k, s, ratio in rows:
-        assert parse_ratio(ratio) == domination_ratio(5, int(s)).value
+        assert Fraction(ratio) == domination_ratio(5, int(s)).value
 
 
 def test_table_d4_checked(capsys):
@@ -210,7 +210,7 @@ def test_table_d4_checked(capsys):
     assert lines[0] == "family\tk\ts\tratio\tn\tgamma"
     for line in lines[1:]:
         family, k, s, ratio, n, gamma = line.split("\t")
-        assert parse_ratio(ratio) == Fraction(int(gamma), int(n))
+        assert Fraction(ratio) == Fraction(int(gamma), int(n))
 
 
 def test_table_circulant_checked(capsys):
@@ -269,6 +269,33 @@ def test_exit_3_on_invalid_kernel_witness(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+# a kernel fault run in a fresh interpreter under a timeout: a check that
+# decoded the mask first would loop forever on a negative one
+FAULTY_KERNEL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from domkit import cli, solver
+size, mask = {size}, {mask}
+solver._kernel.solve_cover = lambda n, offsets, lb=0: (size, mask, 1)
+sys.exit(cli.main(["gamma", "--n", "5", "--set", "1,2"]))
+"""
+
+
+@pytest.mark.parametrize(
+    "size, mask", [(2, 1 | 1 << 5), (1, -1)], ids=["bit-at-n", "negative"]
+)
+def test_exit_3_on_kernel_mask_outside_modulus(size, mask):
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = FAULTY_KERNEL.format(size=size, mask=mask)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "internal consistency failure" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def run_closing_stdout(argv, lines):
     """(exit code, stderr) of domkit in a fresh interpreter, whose stdout is
     block-buffered as -I ignores PYTHONUNBUFFERED; the reader takes `lines`
@@ -322,13 +349,19 @@ def test_repeat_invocations_byte_identical(capsys):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+# the runs that reach the kernel
+GOLDEN_SOLVES = [
+    # a 151,050-node search and a 44,056-node one: explored is pinned
+    (("gamma", "--n", "30", "--set", "14,15"), "gamma_n30_set14_15.out"),
+    (("gamma", "--n", "46", "--set", "1,4"), "gamma_n46_set1_4.out"),
+    (("search", "--set", "1,4", "--max-period", "48"), "search_set1_4_max48.out"),
+]
+
+
 @pytest.mark.parametrize(
     "argv, name",
-    [
-        # a 151,050-node search and a 44,056-node one: explored is pinned
-        (("gamma", "--n", "30", "--set", "14,15"), "gamma_n30_set14_15.out"),
-        (("gamma", "--n", "46", "--set", "1,4"), "gamma_n46_set1_4.out"),
-        (("search", "--set", "1,4", "--max-period", "48"), "search_set1_4_max48.out"),
+    GOLDEN_SOLVES
+    + [
         # one construct --verify per RatioCase
         (("construct", "--d", "3", "--s", "4", "--verify"), "construct_d3_s4.out"),
         (("construct", "--d", "3", "--s", "-14", "--verify"), "construct_d3_s-14.out"),
@@ -337,6 +370,18 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ],
 )
 def test_stdout_matches_golden_bytes(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("argv, name", GOLDEN_SOLVES)
+def test_compiled_kernel_matches_golden_bytes(capsys, monkeypatch, empty_caches, core_c, argv, name):
+    # the kernels walk the same tree, so the compiled one prints the same
+    # explored counts; the empty cache makes the scan solve every period
+    if core_c is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(solver, "_kernel", core_c)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / name).read_text()

@@ -11,7 +11,7 @@ from domkit import search, solver
 from domkit.construct import verify_dominating
 from domkit.formula import domination_ratio, family_set
 from domkit.model import ConsistencyError, DifferenceSet, PeriodicSet
-from domkit.search import consistency_check, period_bound, search_ratio
+from domkit.search import consistency_check, search_ratio
 from domkit.solver import gamma_exact, reduce_mod
 
 
@@ -168,12 +168,6 @@ def test_search_scale_invariance():
             reduce_mod(DifferenceSet(tuple(c * x for x in steps)), c * p)
         ).gamma
         assert g_scaled == c * g
-
-
-def test_period_bound_examples():
-    assert period_bound(DifferenceSet((1, 4))) == (4, 64)
-    assert period_bound(DifferenceSet((-3,))) == (3, 24)
-    assert period_bound(DifferenceSet((-2, 5))) == (7, 896)
 
 
 def test_search_jobs_must_be_one():
