@@ -18,11 +18,10 @@ agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .model import ConsistencyError, Decomposition, DifferenceSet
+from .model import ConsistencyError, Decomposition, DifferenceSet, _Record, _set
 
 
 class RatioCase(Enum):
@@ -32,11 +31,16 @@ class RatioCase(Enum):
     CASE_D_MINUS_1 = "CASE_D_MINUS_1"
 
 
-@dataclass(frozen=True)
-class RatioResult:
-    value: Fraction
-    case: RatioCase
-    decomposition: Decomposition | None
+class RatioResult(_Record):
+    """The exact ratio, the case that names its term, and the (k, e)
+    decomposition of s (None in the EDS_MOD case)."""
+
+    __slots__ = __match_args__ = ("value", "case", "decomposition")
+
+    def __init__(self, value: Fraction, case: RatioCase, decomposition: Decomposition | None):
+        _set(self, "value", value)
+        _set(self, "case", case)
+        _set(self, "decomposition", decomposition)
 
 
 def _check_family(d: int, s: int) -> None:
@@ -76,24 +80,23 @@ def domination_ratio(d: int, s: int) -> RatioResult:
         return RatioResult(Fraction(1, d), RatioCase.EDS_MOD, None)
     dec = decompose(d, s)
     k, e = dec.k, dec.e
-    terms = {
-        RatioCase.CASE_E_GE_2: Fraction(k + 1, d * k + e),
-        RatioCase.CASE_E_EQ_1: Fraction(2 * k + e - 1, 2 * d * k - d + 2 * e),
-        RatioCase.CASE_D_MINUS_1: Fraction(1, d - 1),
-    }
-    value = min(terms.values())
+    # the three terms as (numerator, denominator), every denominator positive
+    terms = ((k + 1, d * k + e), (2 * k + e - 1, 2 * d * k - d + 2 * e), (1, d - 1))
     if e >= 2 and d <= k + e + 1:
-        case = RatioCase.CASE_E_GE_2
+        case, (num, den) = RatioCase.CASE_E_GE_2, terms[0]
     elif e == 1 and d <= 2 * k + 2:
-        case = RatioCase.CASE_E_EQ_1
+        case, (num, den) = RatioCase.CASE_E_EQ_1, terms[1]
     else:
-        case = RatioCase.CASE_D_MINUS_1
-    if terms[case] != value:
+        case, (num, den) = RatioCase.CASE_D_MINUS_1, terms[2]
+    # the named term is the least iff no term is below it: a/b < num/den
+    # iff a*den < num*b
+    if any(a * den < num * b for a, b in terms):
+        least = min(Fraction(a, b) for a, b in terms)
         raise ConsistencyError(
-            f"case split picked {case.value}={terms[case]} but min is {value} "
+            f"case split picked {case.value}={Fraction(num, den)} but min is {least} "
             f"for (d={d}, s={s})"
         )
-    return RatioResult(value, case, dec)
+    return RatioResult(Fraction(num, den), case, dec)
 
 
 def eds_exists_family(d: int, s: int) -> bool:

@@ -9,7 +9,6 @@ of the same sets and conversions between the two are lossless.
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -23,23 +22,75 @@ def format_ratio(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class DifferenceSet:
+_set = object.__setattr__  # the one way to write a field, used by __init__
+
+
+class _Record:
+    """Immutable record with value semantics, what a frozen dataclass gives.
+
+    Each subclass names its fields in __slots__ and __match_args__ alike
+    and writes its own __init__, which validates the arguments and stores
+    each field with _set.  The methods here read the fields from
+    __match_args__, which a further subclass inherits; its __slots__ would
+    be its own.  Records equal only records of the same class with equal
+    fields; they are not tuples, so they are not iterable unless a
+    subclass says so and json cannot encode them.  The records are written
+    by hand because importing dataclasses also imports inspect, ast, dis
+    and tokenize, which about doubled the time to import domkit.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which validates again
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+
+def _check_residues(res: frozenset[int], n: int) -> None:
+    """Raise ValueError naming a residue of res outside [0, n), if any."""
+    if res:
+        lo, hi = min(res), max(res)
+        if lo < 0 or hi >= n:
+            raise ValueError(f"residue {lo if lo < 0 else hi} outside [0, {n})")
+
+
+class DifferenceSet(_Record):
     """Finite set of step offsets S defining the digraph x -> x + s on Z.
 
     Offsets are nonzero integers, either sign; stored sorted without
     duplicates.
     """
 
-    elements: tuple[int, ...]
+    __slots__ = __match_args__ = ("elements",)
 
-    def __post_init__(self):
-        elems = tuple(sorted(set(self.elements)))
+    def __init__(self, elements: tuple[int, ...]):
+        elems = tuple(sorted(set(elements)))
         if not elems:
             raise ValueError("difference set must be nonempty")
         if 0 in elems:
             raise ValueError("0 is not a valid step offset")
-        object.__setattr__(self, "elements", elems)
+        _set(self, "elements", elems)
 
     def __iter__(self):
         return iter(self.elements)
@@ -51,51 +102,46 @@ class DifferenceSet:
         return value in self.elements
 
 
-@dataclass(frozen=True)
-class PeriodicSet:
+class PeriodicSet(_Record):
     """Subset of Z of the form residues + period * Z.
 
     residues live in [0, period); the empty residue set is allowed (it is
     simply never dominating).
     """
 
-    period: int
-    residues: frozenset[int]
+    __slots__ = __match_args__ = ("period", "residues")
 
-    def __post_init__(self):
-        if self.period < 1:
+    def __init__(self, period: int, residues: frozenset[int]):
+        if period < 1:
             raise ValueError("period must be positive")
-        res = frozenset(self.residues)
-        for r in res:
-            if not 0 <= r < self.period:
-                raise ValueError(f"residue {r} outside [0, {self.period})")
-        object.__setattr__(self, "residues", res)
+        res = frozenset(residues)
+        _check_residues(res, period)
+        _set(self, "period", period)
+        _set(self, "residues", res)
 
     def to_json(self) -> dict:
         return {"period": self.period, "residues": sorted(self.residues)}
 
 
-@dataclass(frozen=True)
-class BlockStructure:
+class BlockStructure(_Record):
     """Gap sequence (b1, ..., bl) describing a periodic set.
 
     Block i starts at a chosen residue and the next one starts bi later, so
     the induced set has period sum(sizes) and one residue per block.
     """
 
-    sizes: tuple[int, ...]
+    __slots__ = __match_args__ = ("sizes",)
 
-    def __post_init__(self):
-        sizes = tuple(self.sizes)
+    def __init__(self, sizes: tuple[int, ...]):
+        sizes = tuple(sizes)
         if not sizes:
             raise ValueError("block structure must have at least one block")
         if min(sizes) < 1:
             raise ValueError("block sizes must be positive")
-        object.__setattr__(self, "sizes", sizes)
+        _set(self, "sizes", sizes)
 
 
-@dataclass(frozen=True)
-class CirculantInstance:
+class CirculantInstance(_Record):
     """Circulant digraph on Z_n given by a connection set of residues.
 
     connection may contain 0 when a step offset reduces to 0 mod n.
@@ -105,18 +151,19 @@ class CirculantInstance:
     depends on the distinct residues alone.
     """
 
-    modulus: int
-    connection: frozenset[int]
-    multiplicity: tuple[tuple[int, int], ...] = ()
+    __slots__ = __match_args__ = ("modulus", "connection", "multiplicity")
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __init__(
+        self,
+        modulus: int,
+        connection: frozenset[int],
+        multiplicity: tuple[tuple[int, int], ...] = (),
+    ):
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        conn = frozenset(self.connection)
-        for r in conn:
-            if not 0 <= r < self.modulus:
-                raise ValueError(f"residue {r} outside [0, {self.modulus})")
-        mult = self.multiplicity
+        conn = frozenset(connection)
+        _check_residues(conn, modulus)
+        mult = multiplicity
         if not mult:
             # implicit self-loop contributes one count at residue 0
             counts = {r: 1 for r in conn}
@@ -131,16 +178,16 @@ class CirculantInstance:
                 raise ValueError("multiplicity counts must be positive")
             if keys != conn | {0}:
                 raise ValueError("multiplicity keys must be connection plus 0")
-        object.__setattr__(self, "connection", conn)
-        object.__setattr__(self, "multiplicity", mult)
+        _set(self, "modulus", modulus)
+        _set(self, "connection", conn)
+        _set(self, "multiplicity", mult)
 
     def counts(self) -> dict[int, int]:
         """Multiplicity as a residue -> count mapping."""
         return dict(self.multiplicity)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """Canonical parameters (sign, k, e) of a valid step s for a given d.
 
     Positive branch: s = d*k + e - 1.  Negative branch: s = -d*k + d - e - 1.
@@ -148,23 +195,24 @@ class Decomposition:
     branch.
     """
 
-    d: int
-    s: int
-    sign: str
-    k: int
-    e: int
+    __slots__ = __match_args__ = ("d", "s", "sign", "k", "e")
 
-    def __post_init__(self):
-        if self.sign not in ("positive", "negative"):
-            raise ValueError(f"bad sign {self.sign!r}")
-        if self.k < 1 or not 1 <= self.e <= self.d - 1:
+    def __init__(self, d: int, s: int, sign: str, k: int, e: int):
+        if sign not in ("positive", "negative"):
+            raise ValueError(f"bad sign {sign!r}")
+        if k < 1 or not 1 <= e <= d - 1:
             raise ValueError("decomposition out of range")
-        if self.sign == "positive":
-            rebuilt = self.d * self.k + self.e - 1
+        if sign == "positive":
+            rebuilt = d * k + e - 1
         else:
-            rebuilt = -self.d * self.k + self.d - self.e - 1
-        if rebuilt != self.s:
-            raise ValueError(f"decomposition does not rebuild s={self.s}")
+            rebuilt = -d * k + d - e - 1
+        if rebuilt != s:
+            raise ValueError(f"decomposition does not rebuild s={s}")
+        _set(self, "d", d)
+        _set(self, "s", s)
+        _set(self, "sign", sign)
+        _set(self, "k", k)
+        _set(self, "e", e)
 
 
 def density(pset: PeriodicSet) -> Fraction:

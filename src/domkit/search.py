@@ -11,12 +11,11 @@ cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .construct import construct_best
 from .formula import RatioResult, domination_ratio, family_set
-from .model import ConsistencyError, DifferenceSet, PeriodicSet
+from .model import ConsistencyError, DifferenceSet, PeriodicSet, _Record, _set
 from .solver import MAX_MODULUS, _certify, gamma_shared, reduce_mod
 
 # int-to-str conversion refuses more than 4300 digits, so a larger period
@@ -24,26 +23,70 @@ from .solver import MAX_MODULUS, _certify, gamma_shared, reduce_mod
 _DECIMAL_LIMIT = 10**4300
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    best_ratio: Fraction
-    best_period: int
-    best_witness: PeriodicSet
-    per_period: tuple[tuple[int, int, Fraction], ...]
-    cap: int
-    theoretical_cap_note: str
+class SearchReport(_Record):
+    """The scan's best certified ratio, its period and witness, and every
+    period's (p, gamma, gamma / p) up to cap."""
+
+    __slots__ = __match_args__ = (
+        "best_ratio",
+        "best_period",
+        "best_witness",
+        "per_period",
+        "cap",
+        "theoretical_cap_note",
+    )
+
+    def __init__(
+        self,
+        best_ratio: Fraction,
+        best_period: int,
+        best_witness: PeriodicSet,
+        per_period: tuple[tuple[int, int, Fraction], ...],
+        cap: int,
+        theoretical_cap_note: str,
+    ):
+        _set(self, "best_ratio", best_ratio)
+        _set(self, "best_period", best_period)
+        _set(self, "best_witness", best_witness)
+        _set(self, "per_period", per_period)
+        _set(self, "cap", cap)
+        _set(self, "theoretical_cap_note", theoretical_cap_note)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    d: int
-    s: int
-    formula: RatioResult
-    search: SearchReport
-    constructed: PeriodicSet
-    attained_at_construction: bool
-    consistent: bool
-    violations: tuple[str, ...]
+class ConsistencyReport(_Record):
+    """Formula, scan and construction for one family member, and every
+    disagreement found between them."""
+
+    __slots__ = __match_args__ = (
+        "d",
+        "s",
+        "formula",
+        "search",
+        "constructed",
+        "attained_at_construction",
+        "consistent",
+        "violations",
+    )
+
+    def __init__(
+        self,
+        d: int,
+        s: int,
+        formula: RatioResult,
+        search: SearchReport,
+        constructed: PeriodicSet,
+        attained_at_construction: bool,
+        consistent: bool,
+        violations: tuple[str, ...],
+    ):
+        _set(self, "d", d)
+        _set(self, "s", s)
+        _set(self, "formula", formula)
+        _set(self, "search", search)
+        _set(self, "constructed", constructed)
+        _set(self, "attained_at_construction", attained_at_construction)
+        _set(self, "consistent", consistent)
+        _set(self, "violations", violations)
 
 
 def _span(steps: DifferenceSet) -> int:

@@ -12,9 +12,15 @@ that a map x -> +-x + a carries onto each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .model import CirculantInstance, ConsistencyError, DifferenceSet, covers_cycle
+from .model import (
+    CirculantInstance,
+    ConsistencyError,
+    DifferenceSet,
+    _Record,
+    _set,
+    covers_cycle,
+)
 
 try:
     from . import _core as _kernel
@@ -36,13 +42,15 @@ def _check_modulus(n: int) -> None:
         raise ValueError(f"modulus {n} above the solver limit {MAX_MODULUS}")
 
 
-@dataclass(frozen=True)
-class GammaCertificate:
+class GammaCertificate(_Record):
     """Exact minimum size, one optimal witness, and the search node count."""
 
-    gamma: int
-    witness: frozenset[int]
-    explored: int
+    __slots__ = __match_args__ = ("gamma", "witness", "explored")
+
+    def __init__(self, gamma: int, witness: frozenset[int], explored: int):
+        _set(self, "gamma", gamma)
+        _set(self, "witness", witness)
+        _set(self, "explored", explored)
 
 
 def kernel_name() -> str:
@@ -83,9 +91,12 @@ def _certify(inst: CirculantInstance, lb: int) -> GammaCertificate:
     _check_modulus(n)
     offsets = _offsets(inst)
     size, mask, explored = _kernel.solve_cover(n, list(offsets), lb)
-    if mask >> n:  # a negative mask too, which _bits would never exhaust
+    if mask >> n:  # a negative mask too, which bin() writes with a sign
         raise ConsistencyError(f"kernel returned a mask outside Z_{n} for {(n, offsets)}")
-    witness = frozenset(_bits(mask))
+    # digit i of the reversed binary numeral is bit i; each "0" becomes a
+    # NUL byte, the one false byte, so compress keeps exactly the set bits
+    digits = bin(mask)[:1:-1].encode().replace(b"0", b"\0")
+    witness = frozenset(itertools.compress(range(n), digits))
     if not verify_witness(inst, witness) or len(witness) != size:
         raise ConsistencyError(f"kernel returned an invalid witness for {(n, offsets)}")
     if size < lb:
@@ -135,13 +146,6 @@ def gamma_shared(inst: CirculantInstance, lb: int = 0) -> int:
             del _gamma_cache[oldest]
             _cached_residues -= len(oldest[1])
     return gamma
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 def _cover_rows(n: int, offsets) -> list[int]:

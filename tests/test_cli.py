@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -16,6 +15,7 @@ import domkit.cli as cli
 import domkit.solver as solver
 from domkit.formula import domination_ratio
 from domkit.model import PeriodicSet
+from domkit.solver import GammaCertificate
 
 
 def run(capsys, *argv):
@@ -252,7 +252,7 @@ def test_table_check_exits_3_on_wrong_gamma(capsys, monkeypatch, which):
 
     def wrong_gamma(inst):
         cert = gamma_exact(inst)
-        return dataclasses.replace(cert, gamma=cert.gamma + 1)
+        return GammaCertificate(cert.gamma + 1, cert.witness, cert.explored)
 
     monkeypatch.setattr(cli, "gamma_exact", wrong_gamma)
     code, _, err = run(capsys, "table", "--which", which, "--k-max", "2", "--check")

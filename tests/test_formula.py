@@ -1,9 +1,11 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domkit import formula
 from domkit.formula import (
     RatioCase,
     decompose,
@@ -13,7 +15,7 @@ from domkit.formula import (
     general_bounds,
     normalize,
 )
-from domkit.model import DifferenceSet
+from domkit.model import ConsistencyError, DifferenceSet
 
 
 def valid_pairs(d_range, s_range):
@@ -174,3 +176,14 @@ def test_normalize_properties(elements):
     assert math.gcd(*result.elements) == 1
     assert min(abs(x) for x in result.elements) in result.elements
     assert normalize(result) == result
+
+
+def test_case_split_violation_raises(monkeypatch):
+    # e = 0 is no valid decomposition: the split falls through to
+    # CASE_D_MINUS_1 = 1/3, but the CASE_E_EQ_1 term 1/(2d*k - d) = 1/4 is less
+    monkeypatch.setattr(formula, "decompose", lambda d, s: SimpleNamespace(k=1, e=0))
+    with pytest.raises(
+        ConsistencyError,
+        match=r"^case split picked CASE_D_MINUS_1=1/3 but min is 1/4 for \(d=4, s=8\)$",
+    ):
+        domination_ratio(4, 8)

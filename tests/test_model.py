@@ -1,9 +1,13 @@
+import copy
+import json
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domkit.formula import RatioCase, RatioResult
 from domkit.model import (
     BlockStructure,
     CirculantInstance,
@@ -15,6 +19,62 @@ from domkit.model import (
     density,
     format_ratio,
 )
+from domkit.search import ConsistencyReport, SearchReport
+from domkit.solver import GammaCertificate
+
+# one instance's fields per record type, in declaration order and already
+# in the canonical form each __init__ stores
+_DEC = Decomposition(4, 8, "positive", 2, 1)
+_RATIO = RatioResult(Fraction(2, 7), RatioCase.CASE_E_EQ_1, _DEC)
+_PSET = PeriodicSet(14, frozenset({0, 4, 9, 13}))
+_REPORT = SearchReport(Fraction(2, 7), 14, _PSET, ((1, 1, Fraction(1)),), 14, "note")
+RECORDS = [
+    (DifferenceSet, {"elements": (-2, 1, 4)}),
+    (PeriodicSet, {"period": 14, "residues": frozenset({0, 4, 9, 13})}),
+    (BlockStructure, {"sizes": (4, 5, 4, 1)}),
+    (CirculantInstance, {"modulus": 6, "connection": frozenset({1, 2}),
+                         "multiplicity": ((0, 1), (1, 1), (2, 1))}),
+    (Decomposition, {"d": 4, "s": 8, "sign": "positive", "k": 2, "e": 1}),
+    (RatioResult, {"value": Fraction(2, 7), "case": RatioCase.CASE_E_EQ_1, "decomposition": _DEC}),
+    (GammaCertificate, {"gamma": 2, "witness": frozenset({0, 3}), "explored": 5}),
+    (SearchReport, {"best_ratio": Fraction(2, 7), "best_period": 14, "best_witness": _PSET,
+                    "per_period": ((1, 1, Fraction(1)),), "cap": 14,
+                    "theoretical_cap_note": "note"}),
+    (ConsistencyReport, {"d": 4, "s": 8, "formula": _RATIO, "search": _REPORT,
+                         "constructed": _PSET, "attained_at_construction": True,
+                         "consistent": True, "violations": ()}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_contract(cls, fields):
+    values = tuple(fields.values())
+    record = cls(**fields)
+    assert cls(*values) == record
+    assert tuple(getattr(record, name) for name in fields) == values
+    assert cls.__match_args__ == tuple(fields)
+    assert hash(record) == hash(values)  # what a frozen dataclass hashes
+    assert record != values and values != record
+    # equal fields in a subclass are not enough
+    assert type("Sub", (cls,), {"__slots__": ()})(*values) != record
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in fields.items()
+    ) + ")"
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is cls and twin == record
+    with pytest.raises(TypeError):
+        json.dumps(record)
+    if cls is not DifferenceSet:  # the one record that iterates, over its steps
+        with pytest.raises(TypeError):
+            iter(record)
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(record, name, values[0])
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.unknown = 1
+    assert getattr(record, name) == values[0]
 
 
 def test_format_parse_examples():
@@ -48,10 +108,10 @@ def test_periodic_set_validation():
     assert p.period == 5
     with pytest.raises(ValueError):
         PeriodicSet(0, frozenset())
-    with pytest.raises(ValueError):
-        PeriodicSet(5, frozenset({5}))
-    with pytest.raises(ValueError):
-        PeriodicSet(5, frozenset({-1}))
+    with pytest.raises(ValueError, match=r"residue 5 outside \[0, 5\)"):
+        PeriodicSet(5, frozenset({0, 5}))
+    with pytest.raises(ValueError, match=r"residue -1 outside \[0, 5\)"):
+        PeriodicSet(5, frozenset({-1, 2}))
 
 
 def test_periodic_set_json_roundtrip():

@@ -25,3 +25,17 @@ def test_star_import_binds_exactly_the_public_names():
     bound, public = json.loads(out)
     assert bound == public
     assert public == sorted(domkit.__all__)
+
+
+def test_cli_import_leaves_out_slow_stdlib_modules():
+    # dataclasses imports inspect, ast, dis and tokenize, which used to double
+    # domkit's import time; -S because a site .pth file may import typing
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import json, sys; sys.path.insert(0, {str(src)!r}); import domkit.cli; "
+        "print(json.dumps([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == []

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import subprocess
 import sys
@@ -9,7 +8,7 @@ import pytest
 
 from domkit import search, solver
 from domkit.construct import verify_dominating
-from domkit.formula import domination_ratio, family_set
+from domkit.formula import RatioResult, domination_ratio, family_set
 from domkit.model import ConsistencyError, DifferenceSet, PeriodicSet
 from domkit.search import consistency_check, search_ratio
 from domkit.solver import gamma_exact, reduce_mod
@@ -218,7 +217,8 @@ def test_consistency_check_reports_violations(monkeypatch):
 
     def raised_ratio(d, s):
         pset, result = construct_best(d, s)
-        return pset, dataclasses.replace(result, value=result.value + Fraction(1, 100))
+        raised = RatioResult(result.value + Fraction(1, 100), result.case, result.decomposition)
+        return pset, raised
 
     monkeypatch.setattr(search, "construct_best", raised_ratio)
     report = consistency_check(4, 8, 20)
