@@ -16,7 +16,7 @@ from fractions import Fraction
 from .construct import construct_best
 from .formula import RatioResult, domination_ratio, family_set
 from .model import ConsistencyError, DifferenceSet, PeriodicSet, _Record, _set
-from .solver import MAX_MODULUS, _certify, gamma_shared, reduce_mod
+from .solver import MAX_MODULUS, _certify, gamma_shared
 
 # int-to-str conversion refuses more than 4300 digits, so a larger period
 # bound is left as c*2^c; 2^14285 > 10^4300, so a huge c never forms 2^c
@@ -116,15 +116,22 @@ def _family_ratio(steps: DifferenceSet) -> Fraction | None:
     return domination_ratio(d, s).value
 
 
+def _period_offsets(elements: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """{0} | steps mod p, sorted: _offsets(reduce_mod(steps, p)) without
+    the instance."""
+    return tuple(sorted({0} | {t % p for t in elements}))
+
+
 def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> SearchReport:
     """Scan periods 1..max_period and report the best certified ratio.
 
     Each period's gamma comes from gamma_shared, so a quotient that
     x -> +-x + a maps onto one solved earlier in the process is not solved
     again; within one scan every modulus differs, so such hits come from
-    earlier scans.  The witness is always solved for best_period's own
-    offsets, and its gamma must be the scan's; _certify has checked that it
-    covers {0} | steps mod best_period, which is its lift dominating Z.
+    earlier scans.  The best period is the least gamma / p, then the least
+    p.  The witness is always solved for best_period's own offsets, and
+    its gamma must be the scan's; _certify has checked that it covers
+    {0} | steps mod best_period, which is its lift dominating Z.
 
     For a family member (_family_ratio), the kernel stops at the floor
     ceil(p * rho) at period p: any cover of Z_p lifts to a periodic
@@ -145,17 +152,22 @@ def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> Search
         raise ValueError(f"max_period {max_period} above the solver limit {MAX_MODULUS}")
     rho = _family_ratio(steps) or Fraction(0)  # no closed form: floor 0
     floors = [-(-p * rho.numerator // rho.denominator) for p in range(max_period + 1)]
-    gammas = [gamma_shared(reduce_mod(steps, p), floors[p]) for p in range(1, max_period + 1)]
-    per_period = tuple((p, g, Fraction(g, p)) for p, g in enumerate(gammas, start=1))
-    best_p, best_gamma, best_ratio = min(per_period, key=lambda row: (row[2], row[0]))
-    cert = _certify(reduce_mod(steps, best_p), floors[best_p])
+    elements = steps.elements
+    per_period = []
+    best_p, best_gamma = 0, 1  # ratio 1/0, above any period's
+    for p in range(1, max_period + 1):
+        g = gamma_shared(p, _period_offsets(elements, p), floors[p])
+        per_period.append((p, g, Fraction(g, p)))
+        if g * best_p < best_gamma * p:
+            best_p, best_gamma = p, g
+    cert = _certify(best_p, _period_offsets(elements, best_p), floors[best_p])
     if cert.gamma != best_gamma:
         raise ConsistencyError(f"period {best_p}: solved again {cert.gamma} != scan {best_gamma}")
     return SearchReport(
-        best_ratio=best_ratio,
+        best_ratio=per_period[best_p - 1][2],
         best_period=best_p,
         best_witness=PeriodicSet(best_p, cert.witness),
-        per_period=per_period,
+        per_period=tuple(per_period),
         cap=max_period,
         theoretical_cap_note=_cap_note(steps),
     )

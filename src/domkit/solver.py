@@ -81,15 +81,17 @@ def _offsets(inst: CirculantInstance) -> tuple[int, ...]:
 def gamma_exact(inst: CirculantInstance) -> GammaCertificate:
     """Exact domination number with a witness the kernel found and that is
     verified here; every call solves."""
-    return _certify(inst, 0)
+    return _certify(inst.modulus, _offsets(inst), 0)
 
 
-def _certify(inst: CirculantInstance, lb: int) -> GammaCertificate:
-    """gamma_exact with the kernel's floor lb, which must be at most gamma
-    (the kernel cannot check that); a gamma below lb is an error."""
-    n = inst.modulus
+def _certify(n: int, offsets: tuple[int, ...], lb: int) -> GammaCertificate:
+    """gamma of Z_n with the sorted offsets, which contain 0 and lie in
+    [0, n) as _offsets gives them, and the kernel's floor lb, which must be
+    at most gamma (the kernel cannot check that); a gamma below lb is an
+    error.  Every kernel solve goes through here.  The witness check is
+    verify_witness's once the mask guard has ruled out residues outside
+    [0, n)."""
     _check_modulus(n)
-    offsets = _offsets(inst)
     size, mask, explored = _kernel.solve_cover(n, list(offsets), lb)
     if mask >> n:  # a negative mask too, which bin() writes with a sign
         raise ConsistencyError(f"kernel returned a mask outside Z_{n} for {(n, offsets)}")
@@ -97,7 +99,7 @@ def _certify(inst: CirculantInstance, lb: int) -> GammaCertificate:
     # NUL byte, the one false byte, so compress keeps exactly the set bits
     digits = bin(mask)[:1:-1].encode().replace(b"0", b"\0")
     witness = frozenset(itertools.compress(range(n), digits))
-    if not verify_witness(inst, witness) or len(witness) != size:
+    if not covers_cycle(n, witness, offsets) or len(witness) != size:
         raise ConsistencyError(f"kernel returned an invalid witness for {(n, offsets)}")
     if size < lb:
         raise ConsistencyError(f"period {n}: gamma {size} is below the floor {lb}")
@@ -116,6 +118,9 @@ _cached_residues = 0  # class-key residues held in _gamma_cache
 def _class_key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
     """Least sorted image of the sorted offsets T under x -> +-x + a mod n.
 
+    Sound on sorted residues in [0, n) only: the differences of unsorted
+    offsets are not T's cyclic gap sequence.
+
     If D + T covers Z_n, so does +-D + (+-T + a): gamma is the same
     across the class.  The images that start at 0 are the partial sums of
     the rotations of T's cyclic gap sequence, and of its reverse for -T;
@@ -126,20 +131,22 @@ def _class_key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(itertools.accumulate(best[:-1], initial=0))
 
 
-def gamma_shared(inst: CirculantInstance, lb: int = 0) -> int:
-    """gamma of inst, shared across its class under x -> +-x + a.
+def gamma_shared(n: int, offsets: tuple[int, ...], lb: int = 0) -> int:
+    """gamma of Z_n with the offsets, shared across its class under
+    x -> +-x + a.
 
-    A class met for the first time is solved for inst with the kernel's
-    floor lb, which must be a proven lower bound on gamma; its gamma is
-    kept, up to MAX_CACHED_RESIDUES class-key residues in all.  No witness
-    is kept: one dominates only the offsets it was solved for.
+    The offsets are as _certify takes them: sorted, with 0, in [0, n);
+    _class_key is sound on sorted offsets only.  A class met for the first
+    time is solved for these offsets with the kernel's floor lb, which
+    must be a proven lower bound on gamma; its gamma is kept, up to
+    MAX_CACHED_RESIDUES class-key residues in all.  No witness is kept:
+    one dominates only the offsets it was solved for.
     """
     global _cached_residues
-    n = inst.modulus
-    key = (n, _class_key(n, _offsets(inst)))
+    key = (n, _class_key(n, offsets))
     gamma = _gamma_cache.get(key)
     if gamma is None:
-        gamma = _gamma_cache[key] = _certify(inst, lb).gamma
+        gamma = _gamma_cache[key] = _certify(n, offsets, lb).gamma
         _cached_residues += len(key[1])
         while _cached_residues > MAX_CACHED_RESIDUES:
             oldest = next(iter(_gamma_cache))

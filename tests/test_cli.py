@@ -260,13 +260,23 @@ def test_table_check_exits_3_on_wrong_gamma(capsys, monkeypatch, which):
     assert "internal consistency failure: gamma(Z_" in err
 
 
-def test_exit_3_on_invalid_kernel_witness(capsys, monkeypatch):
+# gamma solves through gamma_exact, search through gamma_shared: both
+# certify the kernel's witness on the same path
+KERNEL_FAULT_ARGV = [
+    ("gamma", "--n", "5", "--set", "1,2"),
+    ("search", "--set", "1,2", "--max-period", "8"),
+]
+
+
+def test_exit_3_on_invalid_kernel_witness(capsys, monkeypatch, empty_caches):
+    # {0} covers Z_n with offsets {0, 1, 2} up to n = 3, and no further
     monkeypatch.setattr(solver._kernel, "solve_cover", lambda n, offsets, lb=0: (1, 1, 1))
-    code, out, err = run(capsys, "gamma", "--n", "5", "--set", "1,2")
-    assert code == 3
-    assert out == ""
-    assert "invalid witness" in err
-    assert "Traceback" not in err
+    for argv in KERNEL_FAULT_ARGV:
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "invalid witness" in err
+        assert "Traceback" not in err
 
 
 # a kernel fault run in a fresh interpreter under a timeout: a check that
@@ -277,7 +287,7 @@ sys.path.insert(0, sys.argv[1])
 from domkit import cli, solver
 size, mask = {size}, {mask}
 solver._kernel.solve_cover = lambda n, offsets, lb=0: (size, mask, 1)
-sys.exit(cli.main(["gamma", "--n", "5", "--set", "1,2"]))
+sys.exit(cli.main(sys.argv[2:]))
 """
 
 
@@ -287,13 +297,17 @@ sys.exit(cli.main(["gamma", "--n", "5", "--set", "1,2"]))
 def test_exit_3_on_kernel_mask_outside_modulus(size, mask):
     src = Path(__file__).resolve().parents[1] / "src"
     code = FAULTY_KERNEL.format(size=size, mask=mask)
-    proc = subprocess.run(
-        [sys.executable, "-I", "-c", code, str(src)], capture_output=True, text=True, timeout=30
-    )
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stdout == ""
-    assert "internal consistency failure" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for argv in KERNEL_FAULT_ARGV:
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", code, str(src), *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 3, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert "internal consistency failure" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def run_closing_stdout(argv, lines):
@@ -355,20 +369,23 @@ GOLDEN_SOLVES = [
     (("gamma", "--n", "30", "--set", "14,15"), "gamma_n30_set14_15.out"),
     (("gamma", "--n", "46", "--set", "1,4"), "gamma_n46_set1_4.out"),
     (("search", "--set", "1,4", "--max-period", "48"), "search_set1_4_max48.out"),
+    # a scan with no floor, and a family member's (d = 4) with one
+    (("search", "--set", "2,7", "--max-period", "24"), "search_set2_7_max24.out"),
+    (("search", "--set", "1,2,-14", "--max-period", "32"), "search_set1_2_-14_max32.out"),
+]
+
+# one construct --verify per RatioCase
+GOLDEN_BUILDS = [
+    (("construct", "--d", "3", "--s", "4", "--verify"), "construct_d3_s4.out"),
+    (("construct", "--d", "3", "--s", "-14", "--verify"), "construct_d3_s-14.out"),
+    (("construct", "--d", "6", "--s", "8", "--verify"), "construct_d6_s8.out"),
+    (("construct", "--d", "4", "--s", "7", "--verify"), "construct_d4_s7.out"),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, name",
-    GOLDEN_SOLVES
-    + [
-        # one construct --verify per RatioCase
-        (("construct", "--d", "3", "--s", "4", "--verify"), "construct_d3_s4.out"),
-        (("construct", "--d", "3", "--s", "-14", "--verify"), "construct_d3_s-14.out"),
-        (("construct", "--d", "6", "--s", "8", "--verify"), "construct_d6_s8.out"),
-        (("construct", "--d", "4", "--s", "7", "--verify"), "construct_d4_s7.out"),
-    ],
-)
+# test ids are argvN by list position: the solves added after the builds
+# come after them, so that every earlier run keeps its id
+@pytest.mark.parametrize("argv, name", GOLDEN_SOLVES[:3] + GOLDEN_BUILDS + GOLDEN_SOLVES[3:])
 def test_stdout_matches_golden_bytes(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from domkit import search, solver
+from domkit import model, search, solver
 from domkit.construct import verify_dominating
 from domkit.formula import RatioResult, domination_ratio, family_set
 from domkit.model import ConsistencyError, DifferenceSet, PeriodicSet
@@ -67,12 +67,51 @@ def test_search_ratio_matches_gamma_exact_reference(monkeypatch, empty_caches, d
     assert solved == [reports[1].best_period]
     for member, report in zip(members, reports):
         empty_caches()
-        steps = family_set(d, member)
-        certs = {p: gamma_exact(reduce_mod(steps, p)) for p in range(1, cap + 1)}
-        per_period = tuple((p, c.gamma, Fraction(c.gamma, p)) for p, c in certs.items())
-        best_p = min(per_period, key=lambda row: (row[2], row[0]))[0]
-        assert report.per_period == per_period
-        assert report.best_witness == PeriodicSet(best_p, certs[best_p].witness)
+        assert_gamma_exact_report(family_set(d, member), cap, report)
+
+
+def assert_gamma_exact_report(steps, cap, report):
+    """report's rows, best period and witness are those of gamma_exact on
+    reduce_mod(steps, p) for p up to cap."""
+    certs = {p: gamma_exact(reduce_mod(steps, p)) for p in range(1, cap + 1)}
+    per_period = tuple((p, c.gamma, Fraction(c.gamma, p)) for p, c in certs.items())
+    best_p, _, best_ratio = min(per_period, key=lambda row: (row[2], row[0]))
+    assert report.per_period == per_period
+    assert (report.best_ratio, report.best_period) == (best_ratio, best_p)
+    assert report.best_witness == PeriodicSet(best_p, certs[best_p].witness)
+
+
+def test_search_ratio_builds_no_instance(monkeypatch, empty_caches):
+    # the scan hands each period's sorted offsets to the solver as a tuple
+    scans = [(family_set(3, -14), 32), (DifferenceSet((2, 7)), 24)]
+    with monkeypatch.context() as patch:
+        patch.setattr(model.CirculantInstance, "__init__", refuse)
+        patch.setattr(solver, "reduce_mod", refuse)
+        patch.setattr(solver, "verify_witness", refuse)
+        reports = [search_ratio(steps, cap) for steps, cap in scans]
+    for (steps, cap), report in zip(scans, reports):
+        assert_gamma_exact_report(steps, cap, report)
+
+
+def refuse(*args):
+    raise AssertionError("must not be called in a scan")
+
+
+def test_period_offsets_is_reduce_mods():
+    # p = 1, negative steps and steps that are 0 mod p all come up
+    rng = random.Random(2584)
+    cases = {"p = 1": 0, "negative": 0, "0 mod p": 0}
+    for i in range(300):
+        p = 1 if i % 10 == 0 else rng.randint(1, 40)
+        steps = rng.sample([x for x in range(-60, 61) if x], rng.randint(1, 6))
+        if i % 3 == 0:
+            steps.append(rng.choice((1, -1)) * rng.randint(1, 3) * p)
+        steps = DifferenceSet(tuple(steps))
+        assert search._period_offsets(steps.elements, p) == solver._offsets(reduce_mod(steps, p))
+        cases["p = 1"] += p == 1
+        cases["negative"] += min(steps) < 0
+        cases["0 mod p"] += any(t % p == 0 for t in steps)
+    assert min(cases.values()) >= 30
 
 
 def test_search_ratio_rejects_a_wrong_shared_gamma(empty_caches):

@@ -394,25 +394,30 @@ def recorded_certify(monkeypatch):
     """Patches solver._certify to log the modulus of each solve."""
     solved, certify = [], solver._certify
 
-    def recorded(inst, lb):
-        solved.append(inst.modulus)
-        return certify(inst, lb)
+    def recorded(n, offsets, lb):
+        solved.append(n)
+        return certify(n, offsets, lb)
 
     monkeypatch.setattr(solver, "_certify", recorded)
     return solved
+
+
+def shared(inst):
+    """gamma_shared on inst's modulus and sorted offsets, with no floor."""
+    return gamma_shared(inst.modulus, solver._offsets(inst))
 
 
 def test_gamma_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
     # the bound counts class-key residues: (0, 1) holds 2, (0, 1, 3) holds 3
     monkeypatch.setattr(solver, "MAX_CACHED_RESIDUES", 7)
     insts = [reduce_mod(DifferenceSet((1,) if n % 2 else (1, 3)), n) for n in range(10, 20)]
-    gammas = [gamma_shared(inst) for inst in insts]
+    gammas = [shared(inst) for inst in insts]
     assert gammas == [gamma_exact(inst).gamma for inst in insts]
     assert {type(g) for g in gammas + list(solver._gamma_cache.values())} == {int}
     assert list(solver._gamma_cache) == [(17, (0, 1)), (18, (0, 1, 3)), (19, (0, 1))]
     assert solver._cached_residues == sum(len(key) for _, key in solver._gamma_cache) == 7
     solved = recorded_certify(monkeypatch)
-    assert gamma_shared(insts[0]) == gammas[0]  # evicted, so solved again and kept last
+    assert shared(insts[0]) == gammas[0]  # evicted, so solved again and kept last
     assert solved == [10]
     assert list(solver._gamma_cache) == [(19, (0, 1)), (10, (0, 1, 3))]
     assert solver._cached_residues == 5
@@ -423,16 +428,16 @@ def test_class_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
     # member that asks next, and then serves the other members
     monkeypatch.setattr(solver, "MAX_CACHED_RESIDUES", 4)
     insts = [reduce_mod(DifferenceSet((1,)), n) for n in range(10, 20)]
-    gammas = [gamma_shared(inst) for inst in insts]
+    gammas = [shared(inst) for inst in insts]
     assert gammas == [(n + 1) // 2 for n in range(10, 20)]
     assert list(solver._gamma_cache) == [(18, (0, 1)), (19, (0, 1))]
     solved = recorded_certify(monkeypatch)
     mirror = reduce_mod(DifferenceSet((-1,)), 10)  # {0, -1}, in the class of {0, 1}
-    assert gamma_shared(mirror) == 5
+    assert shared(mirror) == 5
     assert solved == [10]
     assert list(solver._gamma_cache.items()) == [((19, (0, 1)), 10), ((10, (0, 1)), 5)]
     monkeypatch.setattr(solver, "_certify", refuse)
-    assert gamma_shared(insts[0]) == 5
+    assert shared(insts[0]) == 5
     assert list(solver._gamma_cache) == [(19, (0, 1)), (10, (0, 1))]  # a hit moves nothing
 
 
@@ -460,17 +465,17 @@ def test_gamma_value_is_shared_across_affine_images(monkeypatch, empty_caches):
     for _ in range(200):
         inst = random_instance(rng, max_n=32)
         n = inst.modulus
-        gamma = gamma_shared(inst)  # some are served by an earlier instance
+        gamma = shared(inst)  # some are served by an earlier instance
         assert gamma == gamma_exact(inst).gamma
         if n <= 12:
             assert gamma == gamma_bruteforce(inst)
         y = rng.choice(sorted(inst.connection | {0}))
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_certify", refuse)
-            assert gamma_shared(affine_image(inst, rng.choice((1, -1)), y)) == gamma
+            assert shared(affine_image(inst, rng.choice((1, -1)), y)) == gamma
         unit = rng.choice([u for u in range(n) if math.gcd(u, n) == 1])
         image = affine_image(inst, unit, y)
-        assert gamma_shared(image) == gamma_exact(image).gamma == gamma
+        assert shared(image) == gamma_exact(image).gamma == gamma
 
 
 def test_gamma_exact_computes_no_class_key(monkeypatch, empty_caches):
