@@ -32,8 +32,10 @@ from .model import (
 )
 
 
-# largest d or template period construct_best accepts; every template is
-# built as a tuple of blocks and a set of residues one period long
+# largest d or emitted template period construct_best accepts; only the
+# emitted template becomes a set of residues one period long, and every
+# template is a tuple of at most 2k + d <= 3 * MAX_PERIOD blocks, since the
+# case split gives k < d in CASE_D_MINUS_1 and d*k < period otherwise
 MAX_PERIOD = 2**20
 
 # index in candidate_structures of the template whose density is the case's term
@@ -84,9 +86,12 @@ def construct_best(d: int, s: int) -> tuple[PeriodicSet, RatioResult]:
         raise ValueError(f"d = {d} above the construction limit {MAX_PERIOD}")
     result = domination_ratio(d, s)
     dec = result.decomposition
-    # the longest template, (d^(k-1), d+e, d^(k-1), 1^e), has this period
-    if dec is not None and 2 * d * dec.k - d + 2 * dec.e > MAX_PERIOD:
-        raise ValueError(f"template period for s = {s} above the construction limit {MAX_PERIOD}")
+    if dec is not None:
+        k, e = dec.k, dec.e
+        # the period of the template the case names, in candidate_structures' order
+        period = (d * k + e, 2 * d * k - d + 2 * e, d - 1)[_TEMPLATE_OF[result.case]]
+        if period > MAX_PERIOD:
+            raise ValueError(f"template period for s = {s} above the construction limit {MAX_PERIOD}")
     steps = family_set(d, s)
     if result.case is RatioCase.EDS_MOD:
         pset = PeriodicSet(d, frozenset({0}))

@@ -21,7 +21,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .model import ConsistencyError, Decomposition, DifferenceSet, _Record, _set
+from .model import ConsistencyError, Decomposition, DifferenceSet, _Record
 
 
 class RatioCase(Enum):
@@ -33,14 +33,10 @@ class RatioCase(Enum):
 
 class RatioResult(_Record):
     """The exact ratio, the case that names its term, and the (k, e)
-    decomposition of s (None in the EDS_MOD case)."""
+    decomposition of s (None in the EDS_MOD case): value: Fraction,
+    case: RatioCase, decomposition: Decomposition | None."""
 
     __slots__ = __match_args__ = ("value", "case", "decomposition")
-
-    def __init__(self, value: Fraction, case: RatioCase, decomposition: Decomposition | None):
-        _set(self, "value", value)
-        _set(self, "case", case)
-        _set(self, "decomposition", decomposition)
 
 
 def _check_family(d: int, s: int) -> None:

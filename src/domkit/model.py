@@ -28,18 +28,33 @@ _set = object.__setattr__  # the one way to write a field, used by __init__
 class _Record:
     """Immutable record with value semantics, what a frozen dataclass gives.
 
-    Each subclass names its fields in __slots__ and __match_args__ alike
-    and writes its own __init__, which validates the arguments and stores
-    each field with _set.  The methods here read the fields from
-    __match_args__, which a further subclass inherits; its __slots__ would
-    be its own.  Records equal only records of the same class with equal
-    fields; they are not tuples, so they are not iterable unless a
-    subclass says so and json cannot encode them.  The records are written
-    by hand because importing dataclasses also imports inspect, ast, dis
-    and tokenize, which about doubled the time to import domkit.
+    Each subclass names its fields once, in __slots__ = __match_args__.  A
+    store-only record writes no __init__: __init_subclass__ generates
+    __init__(self, <field>, ...) storing each argument with _set, as
+    dataclasses and namedtuple generate theirs.  A validating record
+    writes its own __init__, which checks the arguments and stores each
+    field with _set; a subclass inherits whichever __init__ its parent
+    has.  The methods here read the fields from __match_args__, which a
+    further subclass inherits; its __slots__ would be its own.  Records
+    equal only records of the same class with equal fields; they are not
+    tuples, so they are not iterable unless a subclass says so and json
+    cannot encode them.  dataclasses is not used because importing it
+    also imports inspect, ast, dis and tokenize, which about doubled the
+    time to import domkit.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__init__ is object.__init__:
+            fields = cls.__match_args__
+            body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+            namespace = {}
+            exec(f"def __init__(self, {', '.join(fields)}):{body}",
+                 {"_set": _set, "__name__": cls.__module__}, namespace)
+            init = namespace["__init__"]
+            init.__qualname__ = f"{cls.__qualname__}.__init__"  # TypeErrors name it
+            cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

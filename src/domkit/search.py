@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .construct import construct_best
-from .formula import RatioResult, domination_ratio, family_set
-from .model import ConsistencyError, DifferenceSet, PeriodicSet, _Record, _set
+from .formula import domination_ratio, family_set
+from .model import ConsistencyError, DifferenceSet, PeriodicSet, _Record
 from .solver import MAX_MODULUS, _certify, gamma_shared
 
 # int-to-str conversion refuses more than 4300 digits, so a larger period
@@ -25,7 +25,10 @@ _DECIMAL_LIMIT = 10**4300
 
 class SearchReport(_Record):
     """The scan's best certified ratio, its period and witness, and every
-    period's (p, gamma, gamma / p) up to cap."""
+    period's (p, gamma, gamma / p) up to cap: best_ratio: Fraction,
+    best_period: int, best_witness: PeriodicSet,
+    per_period: tuple[tuple[int, int, Fraction], ...], cap: int,
+    theoretical_cap_note: str."""
 
     __slots__ = __match_args__ = (
         "best_ratio",
@@ -36,26 +39,13 @@ class SearchReport(_Record):
         "theoretical_cap_note",
     )
 
-    def __init__(
-        self,
-        best_ratio: Fraction,
-        best_period: int,
-        best_witness: PeriodicSet,
-        per_period: tuple[tuple[int, int, Fraction], ...],
-        cap: int,
-        theoretical_cap_note: str,
-    ):
-        _set(self, "best_ratio", best_ratio)
-        _set(self, "best_period", best_period)
-        _set(self, "best_witness", best_witness)
-        _set(self, "per_period", per_period)
-        _set(self, "cap", cap)
-        _set(self, "theoretical_cap_note", theoretical_cap_note)
-
 
 class ConsistencyReport(_Record):
     """Formula, scan and construction for one family member, and every
-    disagreement found between them."""
+    disagreement found between them: d: int, s: int, formula: RatioResult,
+    search: SearchReport, constructed: PeriodicSet,
+    attained_at_construction: bool, consistent: bool,
+    violations: tuple[str, ...]."""
 
     __slots__ = __match_args__ = (
         "d",
@@ -67,26 +57,6 @@ class ConsistencyReport(_Record):
         "consistent",
         "violations",
     )
-
-    def __init__(
-        self,
-        d: int,
-        s: int,
-        formula: RatioResult,
-        search: SearchReport,
-        constructed: PeriodicSet,
-        attained_at_construction: bool,
-        consistent: bool,
-        violations: tuple[str, ...],
-    ):
-        _set(self, "d", d)
-        _set(self, "s", s)
-        _set(self, "formula", formula)
-        _set(self, "search", search)
-        _set(self, "constructed", constructed)
-        _set(self, "attained_at_construction", attained_at_construction)
-        _set(self, "consistent", consistent)
-        _set(self, "violations", violations)
 
 
 def _span(steps: DifferenceSet) -> int:

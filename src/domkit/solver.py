@@ -18,7 +18,6 @@ from .model import (
     ConsistencyError,
     DifferenceSet,
     _Record,
-    _set,
     covers_cycle,
 )
 
@@ -43,14 +42,10 @@ def _check_modulus(n: int) -> None:
 
 
 class GammaCertificate(_Record):
-    """Exact minimum size, one optimal witness, and the search node count."""
+    """Exact minimum size, one optimal witness, and the search node count:
+    gamma: int, witness: frozenset[int], explored: int."""
 
     __slots__ = __match_args__ = ("gamma", "witness", "explored")
-
-    def __init__(self, gamma: int, witness: frozenset[int], explored: int):
-        _set(self, "gamma", gamma)
-        _set(self, "witness", witness)
-        _set(self, "explored", explored)
 
 
 def kernel_name() -> str:

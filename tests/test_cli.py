@@ -80,6 +80,15 @@ def test_construct_verified(capsys):
     assert payload["block_lemma"] is True
 
 
+def test_construct_template_within_limit(capsys):
+    # the longest template at (3, 600001) has period 1200001, the emitted one 600002
+    code, out, err = run(capsys, "construct", "--d", "3", "--s", "600001")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["period"] == 600002
+    assert len(payload["residues"]) == 200001
+
+
 def test_construct_modular_d2(capsys):
     code, out, _ = run(capsys, "construct", "--d", "2", "--s", "3")
     assert code == 0
@@ -429,6 +438,7 @@ def test_search_cap_note_any_span(capsys, steps, bound):
         ("search", "--set", "1,2", "--max-period", str(HUGE)),
         ("construct", "--d", "3", "--s", str(HUGE)),
         ("construct", "--d", str(HUGE), "--s", "-1"),
+        ("construct", "--d", "3", "--s", "1048576"),  # (3^349525, 2): period 2^20 + 1
     ],
 )
 def test_size_guards_exit_2(capsys, argv):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domkit.construct import (
+    MAX_PERIOD,
     candidate_structures,
     check_block_lemma,
     construct_best,
@@ -138,6 +139,15 @@ def test_construct_best_grid():
 def test_construct_best_errors():
     with pytest.raises(ValueError, match="degenerate"):
         construct_best(5, 2)
+
+
+@pytest.mark.parametrize("s", [600001, 1048573])
+def test_construct_best_checks_the_emitted_template_period(s):
+    # (3^k, 2) has period s + 1; the longer (3^(k-1), 5, 3^(k-1), 1, 1) would not fit
+    pset, result = construct_best(3, s)
+    assert result.case is RatioCase.CASE_E_GE_2
+    assert pset.period == s + 1 <= MAX_PERIOD
+    assert density(pset) == result.value
 
 
 def test_modular_constructions_are_efficient():

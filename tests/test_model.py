@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import pickle
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domkit
 from domkit.formula import RatioCase, RatioResult
 from domkit.model import (
     BlockStructure,
@@ -53,10 +55,24 @@ def test_record_contract(cls, fields):
     assert cls(*values) == record
     assert tuple(getattr(record, name) for name in fields) == values
     assert cls.__match_args__ == tuple(fields)
+    assert tuple(inspect.signature(cls).parameters) == tuple(fields)
+    name = next(iter(fields))
+    for args, kwargs in (
+        ((), {key: value for key, value in fields.items() if key != name}),  # missing
+        ((*values, None), {}),  # extra positional
+        (values, {"unknown": 1}),
+        (values, {name: values[0]}),  # given twice
+    ):
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) "):
+            cls(*args, **kwargs)
     assert hash(record) == hash(values)  # what a frozen dataclass hashes
     assert record != values and values != record
-    # equal fields in a subclass are not enough
-    assert type("Sub", (cls,), {"__slots__": ()})(*values) != record
+    # equal fields in a subclass are not enough; it keeps the parent's __init__
+    sub = type("Sub", (cls,), {"__slots__": ()})
+    assert sub.__init__ is cls.__init__
+    twin = sub(*values)
+    assert twin != record
+    assert tuple(getattr(twin, key) for key in fields) == values
     assert repr(record) == f"{cls.__name__}(" + ", ".join(
         f"{name}={value!r}" for name, value in fields.items()
     ) + ")"
@@ -67,7 +83,6 @@ def test_record_contract(cls, fields):
     if cls is not DifferenceSet:  # the one record that iterates, over its steps
         with pytest.raises(TypeError):
             iter(record)
-    name = next(iter(fields))
     with pytest.raises(AttributeError):
         setattr(record, name, values[0])
     with pytest.raises(AttributeError):
@@ -75,6 +90,29 @@ def test_record_contract(cls, fields):
     with pytest.raises(AttributeError):
         record.unknown = 1
     assert getattr(record, name) == values[0]
+
+
+def test_record_subclass_keeps_validation():
+    sub = type("Sub", (DifferenceSet,), {"__slots__": ()})
+    assert sub((3, 1, 1)).elements == (1, 3)
+    with pytest.raises(ValueError):
+        sub(())
+
+
+def _records(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+def test_records_name_their_fields_once():
+    # the generated __init__ takes the fields from __match_args__, the
+    # storage comes from __slots__: the two must be one tuple
+    records = {cls for cls in _records(domkit.model._Record) if cls.__module__.startswith("domkit.")}
+    assert {cls.__name__ for cls in records} == {cls.__name__ for cls, _ in RECORDS}
+    for cls in records:
+        assert "__slots__" in vars(cls) and "__match_args__" in vars(cls), cls
+        assert cls.__match_args__ == cls.__slots__, cls
 
 
 def test_format_parse_examples():

@@ -458,7 +458,7 @@ def affine_image(inst, u, y):
     return CirculantInstance(n, frozenset(u * (t - y) % n for t in inst.connection | {0}))
 
 
-def test_gamma_value_is_shared_across_affine_images(monkeypatch, empty_caches):
+def test_gamma_shared_across_affine_images(monkeypatch, empty_caches):
     # an image under x -> +-x + a is in the same class and is served without
     # a solve; under any other unit it may be solved, with the same gamma
     rng = random.Random(6765)
