@@ -93,7 +93,10 @@ static size_t pop_and(const u64 *a, const u64 *b, size_t W)
 /* greedy cover of _core_py.greedy over the k distinct offsets dist: each
    pick has the most fresh targets, the lowest vertex on ties.  gain[v] is
    the number of targets of v not yet covered; gains only fall, so while
-   top stays the scan resumes at the last pick.  -1 if out of memory. */
+   top stays the scan resumes at the last pick.  This is the gain loop
+   alone: the pure twin makes its picks of top == k on a shrinking bitmask
+   first, and test_kernels_agree_bit_for_bit holds both routes to one
+   cover.  -1 if out of memory. */
 static int greedy(Search *s, const size_t *dist)
 {
     size_t n = s->n, k = s->k, left = n, top = k, start = 0, bv, i, j, x;

@@ -4,10 +4,13 @@ solve_cover finds a smallest W within Z_n such that W + offsets = Z_n,
 by depth-first branch and bound over coverage bitmasks:
 
   - upper bound: deterministic greedy (max fresh coverage, lowest index)
-    in O(n * k) for k distinct offsets; it keeps each vertex's fresh
-    coverage, gain[v] == popcount(cover[v] & ~covered), and since gains
-    only fall, the scan for the next pick resumes at the last one and
-    still finds the pick a full rescan would (see greedy)
+    in two phases for k distinct offsets T.  While some vertex has all k
+    targets fresh, the pick is the lowest vertex outside picks + (T - T),
+    read off one bitmask that shrinks with each pick.  Then each vertex's
+    fresh coverage, gain[v] == popcount(cover[v] & ~covered), is counted
+    from the targets left and kept up to date; since gains only fall, the
+    scan for the next pick resumes at the last one and still finds the
+    pick a full rescan would (see greedy)
   - branch vertex: uncovered x with fewest allowed dominators, the
     lowest on ties; the pass looks only at the uncovered targets in
     touched, the union of cover[v] over the excluded vertices v, and at
@@ -79,27 +82,76 @@ explored) triples, for every lb.
 
 from __future__ import annotations
 
+import itertools
 import operator
+
+
+_LOW64 = (1 << 64) - 1
+_COVERED = bytes.maketrans(b"01", b"\x00\x01")
+_UNCOVERED = bytes.maketrans(b"01", b"\x01\x00")
 
 
 def greedy(n: int, offsets) -> tuple[int, int]:
     """Size and bitmask of the greedy cover: each pick is the vertex with
     the most fresh (not yet covered) targets, the lowest one on ties.
 
-    gain[v] is the number of targets of v not yet covered, kept up to date
-    instead of recomputed.  Gains only fall, and top is the largest gain:
-    it drops only once no vertex has gain top.  While top stays, every
-    vertex below the last pick already has a gain below top, so the scan
-    for the next pick resumes there and still finds the lowest vertex with
-    the largest gain.  offsets may be unreduced or repeated.
+    gain[v] is the number of targets of v not yet covered.  Gains only
+    fall, and top is the largest gain: it drops only once no vertex has
+    gain top.  While top stays, every vertex below the last pick already
+    has a gain below top, so the scan for the next pick resumes there and
+    still finds the lowest vertex with the largest gain.
+
+    Phase 1 makes the picks of top == k, k the number of distinct
+    offsets T.  v has gain k iff v is outside picks + (T - T), and these
+    picks ascend, so fresh holds the vertices from the last pick, base,
+    on that are outside picks + (T - T), bit j for vertex base + j.  Each
+    pick masks out its own T - T (keep), and the next pick is the lowest
+    bit left, to which fresh is shifted down.  The picks' mask and the
+    covered set are formed once, at the end.  Phase 2, if targets are
+    left, counts gain from them alone and runs the gain loop from
+    top = k - 1 and start = 0, where phase 1 leaves it.
+    offsets may be unreduced or repeated.
     """
     distinct = sorted({t % n for t in offsets})
-    top = len(distinct)
-    gain = [top] * n
-    covd = bytearray(n)
-    left = n
-    mask = 0
-    size = 0
+    full = (1 << n) - 1
+    tmask = 0
+    for t in distinct:
+        tmask |= 1 << t
+    # keep is all but T - T: the OR of T's mask rotated right by each u,
+    # folded back into n bits, complemented
+    wide = tmask << n
+    acc = 0
+    for u in distinct:
+        acc |= wide >> u
+    keep = full & ~(acc | acc >> n)
+    picks = [0]
+    fresh = keep
+    base = 0
+    while fresh:
+        low = fresh & _LOW64 or fresh
+        j = (low & -low).bit_length() - 1
+        base += j
+        picks.append(base)
+        fresh = fresh >> j & keep
+    digits = bytearray(b"0") * n  # digits[~v] is vertex v's binary digit
+    for v in picks:
+        digits[~v] = 49
+    mask = int(digits, 2)
+    acc = 0
+    for t in distinct:
+        acc |= mask << t
+    covered = (acc | acc >> n) & full  # picks + T
+    if covered == full:
+        return len(picks), mask
+    rows = format(covered, "b").zfill(n)[::-1].encode()  # rows[x] is x's digit in covered
+    covd = bytearray(rows.translate(_COVERED))
+    gain = [0] * n
+    for x in itertools.compress(range(n), rows.translate(_UNCOVERED)):
+        for u in distinct:
+            gain[x - u] += 1  # a negative index wraps mod n
+    left = n - covered.bit_count()
+    size = len(picks)
+    top = len(distinct) - 1
     start = 0
     while left:
         try:
@@ -109,7 +161,7 @@ def greedy(n: int, offsets) -> tuple[int, int]:
             start = 0
             continue
         start = bv
-        mask |= 1 << bv
+        digits[~bv] = 49
         size += 1
         for t in distinct:
             x = bv + t
@@ -119,8 +171,8 @@ def greedy(n: int, offsets) -> tuple[int, int]:
                 covd[x] = 1
                 left -= 1
                 for u in distinct:
-                    gain[x - u] -= 1  # a negative index wraps mod n
-    return size, mask
+                    gain[x - u] -= 1
+    return size, int(digits, 2)
 
 
 def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, int]:

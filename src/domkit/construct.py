@@ -8,12 +8,12 @@ Three block-structure templates cover every non-modular case:
 
 Their densities are the three terms of the closed form, in the order
 formula.domination_ratio lists them.  construct_best takes the template
-of the term that the case split names, converts only that one to a
-periodic set, and refuses to return anything whose density is not the
-ratio or that fails the domination check.  Checking one period is exact
-for the periodic lift to Z, and the check is an OR of the rotations of
-one n-bit residue mask (model.covers_cycle): min(|residues|, |steps| + 1)
-shifts of a period-long integer.
+of the term that the case split names, builds and converts only that
+one to a periodic set, and refuses to return anything whose density is
+not the ratio or that fails the domination check.  Checking one period
+is exact for the periodic lift to Z, and the check is an OR of the
+rotations of one n-bit residue mask (model.covers_cycle):
+min(|residues|, |steps| + 1) shifts of a period-long integer.
 """
 
 from __future__ import annotations
@@ -32,13 +32,15 @@ from .model import (
 )
 
 
-# largest d or emitted template period construct_best accepts; only the
-# emitted template becomes a set of residues one period long, and every
-# template is a tuple of at most 2k + d <= 3 * MAX_PERIOD blocks, since the
-# case split gives k < d in CASE_D_MINUS_1 and d*k < period otherwise
+# largest d or emitted template period construct_best accepts; it builds
+# only the emitted template and makes it a set of residues one period
+# long, and every template is a tuple of at most 2k + d <= 3 * MAX_PERIOD
+# blocks, since the case split gives k < d in CASE_D_MINUS_1 and
+# d*k < period otherwise
 MAX_PERIOD = 2**20
 
-# index in candidate_structures of the template whose density is the case's term
+# index in candidate_structures (and _template's i) of the template whose
+# density is the case's term
 _TEMPLATE_OF = {RatioCase.CASE_E_GE_2: 0, RatioCase.CASE_E_EQ_1: 1, RatioCase.CASE_D_MINUS_1: 2}
 
 
@@ -48,11 +50,17 @@ def candidate_structures(dec: Decomposition) -> list[BlockStructure]:
     Their order follows the three RatioCase terms, CASE_E_GE_2, CASE_E_EQ_1
     and CASE_D_MINUS_1: each template's block density is its case's term.
     """
+    return [_template(dec, i) for i in range(3)]
+
+
+def _template(dec: Decomposition, i: int) -> BlockStructure:
+    """Template i of candidate_structures(dec), built alone."""
     d, k, e = dec.d, dec.k, dec.e
-    first = (d,) * k + (e,)
-    second = (d,) * (k - 1) + (d + e,) + (d,) * (k - 1) + (1,) * e
-    third = (d - 1,)
-    return [BlockStructure(first), BlockStructure(second), BlockStructure(third)]
+    if i == 0:
+        return BlockStructure((d,) * k + (e,))
+    if i == 1:
+        return BlockStructure((d,) * (k - 1) + (d + e,) + (d,) * (k - 1) + (1,) * e)
+    return BlockStructure((d - 1,))
 
 
 def verify_dominating(pset: PeriodicSet, steps: DifferenceSet) -> bool:
@@ -96,7 +104,7 @@ def construct_best(d: int, s: int) -> tuple[PeriodicSet, RatioResult]:
     if result.case is RatioCase.EDS_MOD:
         pset = PeriodicSet(d, frozenset({0}))
     else:
-        pset = block_to_periodic(candidate_structures(dec)[_TEMPLATE_OF[result.case]])
+        pset = block_to_periodic(_template(dec, _TEMPLATE_OF[result.case]))
     if density(pset) != result.value or not verify_dominating(pset, steps):
         raise ConsistencyError(f"construction invalid for ({d}, {s})")
     return pset, result

@@ -381,6 +381,10 @@ GOLDEN_SOLVES = [
     # a scan with no floor, and a family member's (d = 4) with one
     (("search", "--set", "2,7", "--max-period", "24"), "search_set2_7_max24.out"),
     (("search", "--set", "1,2,-14", "--max-period", "32"), "search_set1_2_-14_max32.out"),
+    # searches that stop at the root, so the greedy's own cover is the
+    # witness; each greedy covers a remainder after its first phase
+    (("gamma", "--n", "1597", "--set", "1,2,3,4,5,6,7"), "gamma_n1597_set1_2_3_4_5_6_7.out"),
+    (("gamma", "--n", "1602", "--set", "1,2,3"), "gamma_n1602_set1_2_3.out"),
 ]
 
 # one construct --verify per RatioCase

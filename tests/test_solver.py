@@ -217,6 +217,19 @@ def test_greedy_matches_rescanning_greedy():
         n = rng.randint(400, 1600)
         offsets = list(range(d))
         assert core_py.greedy(n, offsets) == rescanning_greedy(n, offsets)
+    # the greedy's phases: it ends in phase 1 (n a multiple of d, T = 0..d-1);
+    # one pick blocks every vertex (T - T = Z_n); k = n; n = 1; a spread pair
+    cases = [(n, list(range(d))) for n, d in [(12, 3), (400, 4), (1600, 8)]]
+    cases += [(7, [0, 1, 3]), (13, [0, 1, 3, 9]), (9, list(range(9))), (1, [0]), (1, [0, 5])]
+    cases.append((1000, [0, 500]))
+    # the next pick lies 100 vertices on, past the low 64-bit word
+    cases.append((1000, list(range(100))))
+    # family members, where phase 2 is long
+    for d, s in [(3, -14), (4, 7), (5, -13), (3, 10)]:
+        for n in (401, 997, 1500):
+            cases.append((n, [0, *family_set(d, s).elements]))
+    for n, offsets in cases:
+        assert core_py.greedy(n, offsets) == rescanning_greedy(n, offsets), (n, offsets)
 
 
 def recursive_solve_cover(n, offsets):
@@ -533,7 +546,7 @@ def test_kernels_agree_bit_for_bit(core_c):
         for lb in floors(n, pure[0]):
             assert core_py.solve_cover(n, offsets, lb) == core_c.solve_cover(n, offsets, lb)
     # large moduli, where the greedy bound is nearly all the work
-    for n, offsets in [(1600, list(range(8))), (8192, [0, 1]), (8192, [0, 1, 2, 3])]:
+    for n, offsets in [(1600, list(range(8))), (8192, [0, 1]), (8192, [0, 1, 2, 3]), (8192, [0, 4096])]:
         assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, offsets)
     # a deep search: 250 chosen vertices
     assert core_py.solve_cover(1250, [0, 1, 2, 3, -6]) == core_c.solve_cover(1250, [0, 1, 2, 3, -6])
