@@ -5,8 +5,9 @@ kernel is the C extension (domkit._core) if it imports, else its
 pure-Python twin (domkit._core_py).  gamma_bruteforce is a
 deliberately naive oracle that shares no search logic with the kernel:
 it tries every subset in increasing cardinality order.  gamma_shared
-serves the period scan: it keeps gamma alone, one per class of instances
-that a map x -> +-x + a carries onto each other.
+serves the period scan: it keeps gamma alone, per class of instances
+that a map x -> +-x + a carries onto each other, under the class key and
+under each offsets tuple met, so that a repeated call is one dict probe.
 """
 
 from __future__ import annotations
@@ -101,13 +102,15 @@ def _certify(n: int, offsets: tuple[int, ...], lb: int) -> GammaCertificate:
     return GammaCertificate(size, witness, explored)
 
 
-# gamma_shared keeps gammas until their class keys hold this many residues
-# in all, then drops the oldest first: one key at MAX_MODULUS can hold
-# 8192, a scan round to period 32 keeps ~700 keys of at most 5
+# gamma_shared keeps gammas until their keys hold this many residues in
+# all, then drops the oldest first: one key at MAX_MODULUS can hold 8192, a
+# scan round to period 32 keeps ~1,300 keys of at most 5
 MAX_CACHED_RESIDUES = 2**20
 
-_gamma_cache: dict[tuple[int, tuple[int, ...]], int] = {}  # (n, class key) -> gamma
-_cached_residues = 0  # class-key residues held in _gamma_cache
+# (n, T) -> gamma of Z_n with offsets T, for sorted offsets T: each class
+# key, and each offsets tuple a call met that is not its class key
+_gamma_cache: dict[tuple[int, tuple[int, ...]], int] = {}
+_cached_residues = 0  # residues of the offsets tuples in _gamma_cache's keys
 
 
 def _class_key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
@@ -119,11 +122,31 @@ def _class_key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
     If D + T covers Z_n, so does +-D + (+-T + a): gamma is the same
     across the class.  The images that start at 0 are the partial sums of
     the rotations of T's cyclic gap sequence, and of its reverse for -T;
-    they order as those rotations do.
+    they order as those rotations do, so the least starts at a least gap.
+    Read from gap i of the doubled sequence, forwards and backwards.
     """
-    gaps = [b - a for a, b in zip(offsets, offsets[1:])] + [offsets[0] + n - offsets[-1]]
-    best = min(seq[i:] + seq[:i] for seq in (gaps, gaps[::-1]) for i in range(len(seq)))
+    gaps = (*map(int.__sub__, offsets[1:], offsets), offsets[0] + n - offsets[-1])
+    k = len(gaps)
+    doubled = gaps * 2
+    low = min(gaps)
+    i = gaps.index(low)
+    best = min(doubled[i : i + k], doubled[i + k : i : -1])
+    for _ in range(1, gaps.count(low)):
+        i = gaps.index(low, i + 1)
+        best = min(best, doubled[i : i + k], doubled[i + k : i : -1])
     return tuple(itertools.accumulate(best[:-1], initial=0))
+
+
+def _keep(key: tuple[int, tuple[int, ...]], gamma: int) -> None:
+    """Store gamma under key, then drop the oldest keys until they hold at
+    most MAX_CACHED_RESIDUES residues in all."""
+    global _cached_residues
+    _gamma_cache[key] = gamma
+    _cached_residues += len(key[1])
+    while _cached_residues > MAX_CACHED_RESIDUES:
+        oldest = next(iter(_gamma_cache))
+        del _gamma_cache[oldest]
+        _cached_residues -= len(oldest[1])
 
 
 def gamma_shared(n: int, offsets: tuple[int, ...], lb: int = 0) -> int:
@@ -131,22 +154,26 @@ def gamma_shared(n: int, offsets: tuple[int, ...], lb: int = 0) -> int:
     x -> +-x + a.
 
     The offsets are as _certify takes them: sorted, with 0, in [0, n);
-    _class_key is sound on sorted offsets only.  A class met for the first
-    time is solved for these offsets with the kernel's floor lb, which
-    must be a proven lower bound on gamma; its gamma is kept, up to
-    MAX_CACHED_RESIDUES class-key residues in all.  No witness is kept:
-    one dominates only the offsets it was solved for.
+    _class_key is sound on sorted offsets only.  Every key of the cache is
+    (n, T) with T in the class whose gamma it holds, so the offsets
+    themselves are probed first, and a hit computes no class key.  On a
+    miss, (n, class key) is probed; a class met for the first time is
+    solved for these offsets with the kernel's floor lb, which must be a
+    proven lower bound on gamma, and kept under its class key.  Offsets
+    that are not their class key are kept too, so that they hit next time.
+    The keys hold up to MAX_CACHED_RESIDUES residues in all.  No witness
+    is kept: one dominates only the offsets it was solved for.
     """
-    global _cached_residues
-    key = (n, _class_key(n, offsets))
-    gamma = _gamma_cache.get(key)
+    gamma = _gamma_cache.get((n, offsets))
+    if gamma is not None:
+        return gamma
+    least = _class_key(n, offsets)
+    gamma = _gamma_cache.get((n, least))
     if gamma is None:
-        gamma = _gamma_cache[key] = _certify(n, offsets, lb).gamma
-        _cached_residues += len(key[1])
-        while _cached_residues > MAX_CACHED_RESIDUES:
-            oldest = next(iter(_gamma_cache))
-            del _gamma_cache[oldest]
-            _cached_residues -= len(oldest[1])
+        gamma = _certify(n, offsets, lb).gamma
+        _keep((n, least), gamma)
+    if least != offsets:
+        _keep((n, offsets), gamma)
     return gamma
 
 

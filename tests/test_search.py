@@ -93,6 +93,30 @@ def test_search_ratio_builds_no_instance(monkeypatch, empty_caches):
         assert_gamma_exact_report(steps, cap, report)
 
 
+def test_search_ratio_is_the_same_cold_and_warm(monkeypatch, empty_caches):
+    # members d 3..5, |s| <= 6, d by d as the scan benchmark runs them: one
+    # warm cache, whose hits come from earlier members under their own
+    # offsets or their class keys, gives the reports of an empty one
+    members = [(d, s) for d in (3, 4, 5) for s in range(-6, 7) if not 0 <= s <= d - 2]
+    solved = []
+    certify = solver._certify
+
+    def counted(n, offsets, lb):
+        solved.append(n)
+        return certify(n, offsets, lb)
+
+    monkeypatch.setattr(search, "_certify", counted)
+    monkeypatch.setattr(solver, "_certify", counted)
+    warm = [search_ratio(family_set(d, s), 20) for d, s in members]
+    warm_solves = len(solved)
+    cold = []
+    for d, s in members:
+        empty_caches()
+        cold.append(search_ratio(family_set(d, s), 20))
+    assert warm == cold
+    assert warm_solves < len(solved) - warm_solves
+
+
 def refuse(*args):
     raise AssertionError("must not be called in a scan")
 

@@ -438,31 +438,99 @@ def test_gamma_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
 
 def test_class_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
     # the cache is keyed by class: an evicted class is solved again for the
-    # member that asks next, and then serves the other members
-    monkeypatch.setattr(solver, "MAX_CACHED_RESIDUES", 4)
+    # member that asks next, and then serves the other members.  A member
+    # that is not its class key is kept under its own offsets too; the
+    # bound counts the residues of every key, and the oldest go first
+    monkeypatch.setattr(solver, "MAX_CACHED_RESIDUES", 6)
     insts = [reduce_mod(DifferenceSet((1,)), n) for n in range(10, 20)]
     gammas = [shared(inst) for inst in insts]
     assert gammas == [(n + 1) // 2 for n in range(10, 20)]
-    assert list(solver._gamma_cache) == [(18, (0, 1)), (19, (0, 1))]
+    assert list(solver._gamma_cache) == [(17, (0, 1)), (18, (0, 1)), (19, (0, 1))]
+    assert solver._cached_residues == 6
     solved = recorded_certify(monkeypatch)
     mirror = reduce_mod(DifferenceSet((-1,)), 10)  # {0, -1}, in the class of {0, 1}
     assert shared(mirror) == 5
     assert solved == [10]
-    assert list(solver._gamma_cache.items()) == [((19, (0, 1)), 10), ((10, (0, 1)), 5)]
+    # the class key went in first, then the mirror's own offsets
+    assert list(solver._gamma_cache.items()) == [
+        ((19, (0, 1)), 10),
+        ((10, (0, 1)), 5),
+        ((10, (0, 9)), 5),
+    ]
+    assert solver._cached_residues == sum(len(key) for _, key in solver._gamma_cache) == 6
     monkeypatch.setattr(solver, "_certify", refuse)
-    assert shared(insts[0]) == 5
-    assert list(solver._gamma_cache) == [(19, (0, 1)), (10, (0, 1))]  # a hit moves nothing
+    assert shared(insts[0]) == shared(mirror) == 5
+    # hits move nothing
+    assert list(solver._gamma_cache) == [(19, (0, 1)), (10, (0, 1)), (10, (0, 9))]
+    # a class key hit keeps the offsets, which can push out the class key
+    assert shared(reduce_mod(DifferenceSet((-1,)), 19)) == 10
+    assert list(solver._gamma_cache) == [(10, (0, 1)), (10, (0, 9)), (19, (0, 18))]
+    assert solver._cached_residues == sum(len(key) for _, key in solver._gamma_cache) == 6
+
+
+def test_gamma_shared_probes_the_offsets_before_the_class_key(monkeypatch, empty_caches):
+    keyed = []
+    class_key = solver._class_key
+
+    def counted(n, offsets):
+        keyed.append((n, offsets))
+        return class_key(n, offsets)
+
+    monkeypatch.setattr(solver, "_class_key", counted)
+    # {0, 9} is not its class key {0, 1}: the first call keys, the next does not
+    assert gamma_shared(10, (0, 9)) == 5
+    assert keyed == [(10, (0, 9))]
+    assert gamma_shared(10, (0, 9)) == 5
+    # the class key itself is held, so its offsets key nothing either
+    assert gamma_shared(10, (0, 1)) == 5
+    assert keyed == [(10, (0, 9))]
+    assert solver._gamma_cache == {(10, (0, 1)): 5, (10, (0, 9)): 5}
+    # a class key met first keys once, and is stored once
+    assert gamma_shared(14, (0, 1, 3)) == 6
+    assert keyed[1:] == [(14, (0, 1, 3))]
+    assert (14, (0, 1, 3)) in solver._gamma_cache
+    # its mirror {0, -1, -3} keys once, needs no solve, and keeps its own offsets
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_certify", refuse)
+        assert gamma_shared(14, (0, 11, 13)) == 6
+        assert keyed[2:] == [(14, (0, 11, 13))]
+        assert solver._gamma_cache[(14, (0, 11, 13))] == 6
+        assert gamma_shared(14, (0, 11, 13)) == 6
+        assert len(keyed) == 3
+    assert solver._cached_residues == 2 + 2 + 3 + 3
+    # every key (n, T) holds gamma of Z_n with offsets T
+    rng = random.Random(10946)
+    for _ in range(300):
+        inst = random_instance(rng, max_n=32)
+        shared(inst)
+        shared(affine_image(inst, rng.choice((1, -1)), rng.choice(sorted(inst.connection | {0}))))
+    assert any(class_key(n, offsets) != offsets for n, offsets in solver._gamma_cache)
+    for (n, offsets), gamma in solver._gamma_cache.items():
+        assert gamma == gamma_exact(CirculantInstance(n, frozenset(offsets))).gamma
 
 
 def test_class_key_is_least_mirror_image():
+    # up to 13 offsets: random ones, and unions of cosets of a subgroup, whose gap
+    # sequences repeat, so that several rotations start at the least gap
     rng = random.Random(4181)
-    for _ in range(400):
-        n = rng.randint(1, 24)
-        offsets = tuple(sorted({0} | set(rng.sample(range(n), rng.randint(0, min(n, 6))))))
+    cases = {"13 offsets": 0, "tied least gaps": 0}
+    for i in range(900):
+        n = rng.randint(1, 64)
+        if i % 3:
+            offsets = {0, *rng.sample(range(1, n), rng.randint(0, min(n - 1, 12)))}
+        else:  # n // q offsets in each coset, 0's coset and at most 13 // (n // q) in all
+            q = rng.choice([q for q in range(1, n + 1) if n % q == 0 and n // q <= 13])
+            cosets = [0, *rng.sample(range(1, q), rng.randint(0, min(q, 13 // (n // q)) - 1))]
+            offsets = {c + j * q for c in cosets for j in range(n // q)}
+        offsets = tuple(sorted(offsets))
         least = min(
             tuple(sorted((u * t + a) % n for t in offsets)) for u in (1, -1) for a in range(n)
         )
         assert solver._class_key(n, offsets) == least
+        gaps = [b - a for a, b in zip(offsets, offsets[1:] + (n,))]
+        cases["13 offsets"] += len(offsets) == 13
+        cases["tied least gaps"] += gaps.count(min(gaps)) > 1
+    assert min(cases.values()) >= 20
 
 
 def affine_image(inst, u, y):
