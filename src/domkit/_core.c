@@ -94,9 +94,11 @@ static size_t pop_and(const u64 *a, const u64 *b, size_t W)
    pick has the most fresh targets, the lowest vertex on ties.  gain[v] is
    the number of targets of v not yet covered; gains only fall, so while
    top stays the scan resumes at the last pick.  This is the gain loop
-   alone: the pure twin makes its picks of top == k on a shrinking bitmask
-   first, and test_kernels_agree_bit_for_bit holds both routes to one
-   cover.  -1 if out of memory. */
+   alone, one pass over all n vertices.  The pure twin makes its picks of
+   top == k first, first-fit on a window of T - T that jumps whole periods
+   of picks, and then counts gains only from the targets left;
+   test_kernels_agree_bit_for_bit holds both routes to one cover.  -1 if
+   out of memory. */
 static int greedy(Search *s, const size_t *dist)
 {
     size_t n = s->n, k = s->k, left = n, top = k, start = 0, bv, i, j, x;

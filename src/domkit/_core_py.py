@@ -5,10 +5,15 @@ by depth-first branch and bound over coverage bitmasks:
 
   - upper bound: deterministic greedy (max fresh coverage, lowest index)
     in two phases for k distinct offsets T.  While some vertex has all k
-    targets fresh, the pick is the lowest vertex outside picks + (T - T),
-    read off one bitmask that shrinks with each pick.  Then each vertex's
-    fresh coverage, gain[v] == popcount(cover[v] & ~covered), is counted
-    from the targets left and kept up to date; since gains only fall, the
+    targets fresh, the pick is the lowest vertex outside picks + (T - T).
+    Every element of T - T lies within c of 0 mod n, so below n - c no
+    exclusion wraps past n and these picks are first-fit on a window of
+    c + 1 bits; the window alone decides the next pick, so once it
+    repeats, the whole periods of picks up to n - c are written at once,
+    and only the last vertices are stepped through on n bits.  Then each
+    vertex's fresh coverage, gain[v] == popcount(cover[v] & ~covered), is
+    counted from the targets left, from the lowest of them less the
+    largest offset on, and kept up to date; since gains only fall, the
     scan for the next pick resumes at the last one and still finds the
     pick a full rescan would (see greedy)
   - branch vertex: uncovered x with fewest allowed dominators, the
@@ -87,72 +92,141 @@ import operator
 
 
 _LOW64 = (1 << 64) - 1
-_COVERED = bytes.maketrans(b"01", b"\x00\x01")
-_UNCOVERED = bytes.maketrans(b"01", b"\x01\x00")
+_ONES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def greedy(n: int, offsets) -> tuple[int, int]:
     """Size and bitmask of the greedy cover: each pick is the vertex with
     the most fresh (not yet covered) targets, the lowest one on ties.
 
-    gain[v] is the number of targets of v not yet covered.  Gains only
-    fall, and top is the largest gain: it drops only once no vertex has
-    gain top.  While top stays, every vertex below the last pick already
-    has a gain below top, so the scan for the next pick resumes there and
-    still finds the lowest vertex with the largest gain.
+    Phase 1 makes the picks that have all k targets fresh, k the number
+    of distinct offsets T.  v has gain k iff v is outside picks + D, D =
+    T - T, and these picks ascend: each is the lowest vertex above the
+    last pick, base, outside picks + D.  D is symmetric mod n, and c is
+    its largest element up to n / 2, so every element of D is within c
+    of 0.  Hence below limit = n - c no exclusion wraps past n: a vertex
+    v < limit meets a pick p < v only if v - p <= c.  There the picks are
+    first-fit on a window of c + 1 bits, bit i for vertex base + i, set
+    if a pick excludes it: the next pick is base + j, j the lowest clear
+    bit (bit 0, base itself, is always set), and the window becomes
+    window >> j | (D within [0, c]).  The window alone decides what comes
+    next, so once a window repeats, the picks since its first sight
+    repeat with it, and the whole periods that end below limit are
+    written at once, as one period's pattern times (2^(reps * step) - 1)
+    // (2^step - 1).  From the last pick below limit, the vertices left
+    to pick from are those outside the window and outside the exclusions
+    of the picks below c, which wrap past 0 to limit and up.  Phase 1
+    steps through them on n - base bits, each pick masking out its own D
+    (keep).  When limit holds fewer than 8 windows (c + 1 bits each), the
+    window run was measured not to pay, and these steps cover all of Z_n
+    from vertex 0.
 
-    Phase 1 makes the picks of top == k, k the number of distinct
-    offsets T.  v has gain k iff v is outside picks + (T - T), and these
-    picks ascend, so fresh holds the vertices from the last pick, base,
-    on that are outside picks + (T - T), bit j for vertex base + j.  Each
-    pick masks out its own T - T (keep), and the next pick is the lowest
-    bit left, to which fresh is shifted down.  The picks' mask and the
-    covered set are formed once, at the end.  Phase 2, if targets are
-    left, counts gain from them alone and runs the gain loop from
-    top = k - 1 and start = 0, where phase 1 leaves it.
+    Phase 2, if targets are left, counts gain[v], the number of v's
+    targets still left, from those targets alone: every vertex with a
+    gain lies at or above lo, the lowest target left less the largest
+    offset, so gains are kept for vertices lo on, counted as byte lanes
+    of one int (k < 256) or target by target.  Gains only fall, and top
+    starts at the largest gain there is and drops only once no vertex
+    has gain top.  While top stays, every vertex below the last pick
+    already has a gain below top, so the scan for the next pick resumes
+    there and still finds the lowest vertex with the largest gain.
     offsets may be unreduced or repeated.
     """
     distinct = sorted({t % n for t in offsets})
+    k = len(distinct)
     full = (1 << n) - 1
     tmask = 0
     for t in distinct:
         tmask |= 1 << t
-    # keep is all but T - T: the OR of T's mask rotated right by each u,
-    # folded back into n bits, complemented
+    # D is the OR of T's mask rotated right by each u, folded back into n
+    # bits; keep is all but D
     wide = tmask << n
     acc = 0
     for u in distinct:
         acc |= wide >> u
-    keep = full & ~(acc | acc >> n)
-    picks = [0]
-    fresh = keep
+    diff = (acc | acc >> n) & full
+    keep = full ^ diff
+    c = (diff & ((2 << (n >> 1)) - 1)).bit_length() - 1  # D's largest up to n / 2
+    limit = n - c
+    mask = size = 1
     base = 0
+    fresh = keep
+    if limit >= 8 * (c + 1):
+        near = diff & ((2 << c) - 1)
+        window = near
+        seen = {near: 0}  # window -> the pick it first followed
+        while True:
+            j = (window ^ (window + 1)).bit_length() - 1  # bit 0 is set
+            if base + j >= limit:
+                break
+            base += j
+            mask |= 1 << base
+            size += 1
+            window = window >> j | near
+            if seen:
+                first = seen.setdefault(window, base)
+                if first != base:
+                    seen = None
+                    step = base - first
+                    reps = (limit - 1 - base) // step
+                    pattern = mask >> first ^ 1  # the picks in (first, base]
+                    mask |= pattern * ((1 << reps * step) - 1) // ((1 << step) - 1) << base
+                    size += reps * pattern.bit_count()
+                    base += reps * step
+        # bit i of hi is limit + i in D, so a pick p < c excludes limit + i
+        # for each bit i - p of hi
+        hi = diff >> limit
+        early = mask & ((1 << c) - 1)
+        wrap = 0
+        while early:
+            low = early & -early
+            wrap |= hi * low
+            early ^= low
+        wrap &= (1 << c) - 1
+        fresh = ((1 << (n - base)) - 1) & ~(window | wrap << (limit - base))
+    picked = off = 0  # bit j of fresh and of picked is vertex base + j
     while fresh:
         low = fresh & _LOW64 or fresh
         j = (low & -low).bit_length() - 1
-        base += j
-        picks.append(base)
+        off += j
+        picked |= 1 << off
+        size += 1
         fresh = fresh >> j & keep
-    digits = bytearray(b"0") * n  # digits[~v] is vertex v's binary digit
-    for v in picks:
-        digits[~v] = 49
-    mask = int(digits, 2)
+    mask |= picked << base
     acc = 0
     for t in distinct:
         acc |= mask << t
     covered = (acc | acc >> n) & full  # picks + T
     if covered == full:
-        return len(picks), mask
-    rows = format(covered, "b").zfill(n)[::-1].encode()  # rows[x] is x's digit in covered
-    covd = bytearray(rows.translate(_COVERED))
-    gain = [0] * n
-    for x in itertools.compress(range(n), rows.translate(_UNCOVERED)):
+        return size, mask
+    rest = full ^ covered
+    lo = max((rest & -rest).bit_length() - 1 - distinct[-1], 0)
+    m = n - lo
+    # index x stands for vertex lo + x from here on; x - u below 0 wraps
+    # mod n, which happens only when lo == 0
+    rows = format(rest >> lo, "b").encode().translate(_ONES)
+    wanted = bytearray(rows[::-1].ljust(n, b"\0"))  # 1 while target x is left
+    if k < 256:
+        # byte lane x of lanes is 1 iff target x is left, so lane v of the
+        # sum over u of lanes shifted down u lanes is gain[v]; a lane sums
+        # at most k < 256 ones, so none carries into the next
+        lanes = int.from_bytes(rows, "big")
+        lanes |= lanes << 8 * n
+        acc = 0
         for u in distinct:
-            gain[x - u] += 1  # a negative index wraps mod n
-    left = n - covered.bit_count()
-    size = len(picks)
-    top = len(distinct) - 1
+            acc += lanes >> 8 * u
+        gain = bytearray((acc & ((1 << 8 * m) - 1)).to_bytes(m, "little"))
+    else:
+        gain = [0] * m
+        for x in itertools.compress(range(m), wanted):
+            for u in distinct:
+                gain[x - u] += 1
+    left = rest.bit_count()
+    top = k - 1
+    while top not in gain:
+        top -= 1
     start = 0
+    late = bytearray((m + 7) >> 3)  # bit x: pick lo + x
     while left:
         try:
             bv = gain.index(top, start)
@@ -161,18 +235,18 @@ def greedy(n: int, offsets) -> tuple[int, int]:
             start = 0
             continue
         start = bv
-        digits[~bv] = 49
+        late[bv >> 3] |= 1 << (bv & 7)
         size += 1
         for t in distinct:
             x = bv + t
             if x >= n:
                 x -= n
-            if not covd[x]:
-                covd[x] = 1
+            if wanted[x]:
+                wanted[x] = 0
                 left -= 1
                 for u in distinct:
                     gain[x - u] -= 1
-    return size, int(digits, 2)
+    return size, mask | int.from_bytes(late, "little") << lo
 
 
 def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, int]:

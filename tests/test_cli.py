@@ -385,6 +385,11 @@ GOLDEN_SOLVES = [
     # witness; each greedy covers a remainder after its first phase
     (("gamma", "--n", "1597", "--set", "1,2,3,4,5,6,7"), "gamma_n1597_set1_2_3_4_5_6_7.out"),
     (("gamma", "--n", "1602", "--set", "1,2,3"), "gamma_n1602_set1_2_3.out"),
+    # the greedy's window run jumps whole periods: one pick a period of 3
+    # that ends in phase 2 at the root, and two a period of 8 with a
+    # 6,670-node search whose node count the greedy's size sets
+    (("gamma", "--n", "8191", "--set", "1,2"), "gamma_n8191_set1_2.out"),
+    (("gamma", "--n", "4002", "--set", "1,5"), "gamma_n4002_set1_5.out"),
 ]
 
 # one construct --verify per RatioCase

@@ -1,4 +1,5 @@
 import gc
+import heapq
 import json
 import math
 import os
@@ -204,6 +205,28 @@ def rescanning_greedy(n, offsets):
     return size, best_mask
 
 
+def lazy_greedy(n, offsets):
+    """The same greedy by lazy evaluation: a heap of (-gain, v) whose gains
+    are stale but never too low, since gains only fall; the first entry
+    popped with its gain still current is the lowest vertex with the
+    largest gain."""
+    distinct = {t % n for t in offsets}
+    cover = [sum(1 << ((v + t) % n) for t in distinct) for v in range(n)]
+    full = (1 << n) - 1
+    heap = [(-len(distinct), v) for v in range(n)]
+    best_mask = covd = size = 0
+    while covd != full:
+        g, v = heapq.heappop(heap)
+        fresh = (cover[v] & ~covd).bit_count()
+        if fresh != -g:
+            heapq.heappush(heap, (-fresh, v))
+            continue
+        best_mask |= 1 << v
+        covd |= cover[v]
+        size += 1
+    return size, best_mask
+
+
 def test_greedy_matches_rescanning_greedy():
     rng = random.Random(24680)
     for _ in range(2000):
@@ -211,15 +234,15 @@ def test_greedy_matches_rescanning_greedy():
         # negative, unreduced and repeated offsets
         offsets = [rng.randint(-100, 100) for _ in range(rng.randint(1, 6))]
         offsets += rng.sample(offsets, rng.randint(0, len(offsets)))
-        assert core_py.greedy(n, offsets) == rescanning_greedy(n, offsets)
-    # the circulant workload's shapes: Z_n with steps 1..d-1
-    for d in range(2, 9):
-        n = rng.randint(400, 1600)
-        offsets = list(range(d))
-        assert core_py.greedy(n, offsets) == rescanning_greedy(n, offsets)
+        expected = rescanning_greedy(n, offsets)
+        assert core_py.greedy(n, offsets) == expected
+        assert lazy_greedy(n, offsets) == expected
+    # lazy_greedy is the oracle from here on: the rescanning one costs
+    # O(gamma * n) popcounts, 0.3 s at n = 1600
+    cases = [(n, list(range(d))) for d in range(2, 9) for n in [rng.randint(400, 1600)]]
     # the greedy's phases: it ends in phase 1 (n a multiple of d, T = 0..d-1);
     # one pick blocks every vertex (T - T = Z_n); k = n; n = 1; a spread pair
-    cases = [(n, list(range(d))) for n, d in [(12, 3), (400, 4), (1600, 8)]]
+    cases += [(n, list(range(d))) for n, d in [(12, 3), (400, 4), (1600, 8)]]
     cases += [(7, [0, 1, 3]), (13, [0, 1, 3, 9]), (9, list(range(9))), (1, [0]), (1, [0, 5])]
     cases.append((1000, [0, 500]))
     # the next pick lies 100 vertices on, past the low 64-bit word
@@ -228,8 +251,33 @@ def test_greedy_matches_rescanning_greedy():
     for d, s in [(3, -14), (4, 7), (5, -13), (3, 10)]:
         for n in (401, 997, 1500):
             cases.append((n, [0, *family_set(d, s).elements]))
+    # phase 1's window run (c the largest element of T - T up to n / 2; the
+    # run engages at n >= 9c + 8).  {0, 1, 5}: c = 5, picks 0, 2, 8, 10, ...,
+    # two a period of 8; {0, 1, 2, 3, -6}: c = 9, picks 0, 4, 14, 18, ...,
+    # two a period of 14.  n runs over every residue of the period, so the
+    # run ends mid-period, and the exclusions that wrap past n meet the
+    # last picks from one above and one below a multiple of the period
+    for offsets, c, period in [([0, 1, 5], 5, 8), ([0, 1, 2, 3, -6], 9, 14)]:
+        for q in (9 * c + 8, 400, 1200):
+            cases += [(n, offsets) for n in range(q - 1, q + period + 1)]
+    # one pick a period; eight picks before the period (c = 13); 28 picks a
+    # period of 100 (c = 15); c close to n / 4 and n / 9
+    cases += [(n, [0, 1]) for n in (16, 17, 18, 1601)]
+    cases += [(n, [0, 9, 12, 13]) for n in (125, 126, 600, 601)]
+    cases += [(n, [0, 11, 15]) for n in (600, 601, 1201)]
+    cases += [(n, [0, 1, n // 4]) for n in (97, 400, 401)]
+    cases += [(n, [0, 1, n // 9]) for n in (97, 400, 401)]
+    # negative, unreduced and repeated offsets at n >= 400
+    cases += [(400, [-1, 0, 401, 5, 5]), (1201, [-1207, 3, 3, 2402, -4])]
+    # k >= 256: gains counted target by target, not in byte lanes
+    cases += [(700, rng.sample(range(-700, 700), 300)), (600, list(range(0, 600, 2)))]
+    # a seeded batch: n in 100..1200, span at most 30
+    for _ in range(40):
+        span = rng.randint(1, 30)
+        offsets = [rng.randint(-span, span) for _ in range(rng.randint(1, 6))]
+        cases.append((rng.randint(100, 1200), offsets))
     for n, offsets in cases:
-        assert core_py.greedy(n, offsets) == rescanning_greedy(n, offsets), (n, offsets)
+        assert core_py.greedy(n, offsets) == lazy_greedy(n, offsets), (n, offsets)
 
 
 def recursive_solve_cover(n, offsets):
@@ -616,6 +664,12 @@ def test_kernels_agree_bit_for_bit(core_c):
     # large moduli, where the greedy bound is nearly all the work
     for n, offsets in [(1600, list(range(8))), (8192, [0, 1]), (8192, [0, 1, 2, 3]), (8192, [0, 4096])]:
         assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, offsets)
+    # the pure greedy jumps whole periods of picks: a root-only solve that
+    # ends in phase 2, and a 6,670-node search that its size bounds
+    for n, offsets in [(8191, [0, 1, 2]), (4002, [0, 1, 5])]:
+        pure = core_py.solve_cover(n, offsets)
+        assert pure == core_c.solve_cover(n, offsets)
+    assert pure[2] == 6670
     # a deep search: 250 chosen vertices
     assert core_py.solve_cover(1250, [0, 1, 2, 3, -6]) == core_c.solve_cover(1250, [0, 1, 2, 3, -6])
     # the period scan's traffic: each family member's quotients, with the
