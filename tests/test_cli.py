@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -288,6 +289,32 @@ def test_exit_3_on_invalid_kernel_witness(capsys, monkeypatch, empty_caches):
         assert "Traceback" not in err
 
 
+def test_exit_3_on_kernel_size_not_its_popcount(capsys, monkeypatch, empty_caches):
+    # the full mask covers Z_5, but it holds 5 vertices, not the 2 reported
+    monkeypatch.setattr(solver._kernel, "solve_cover", lambda n, offsets, lb=0: (2, 0b11111, 1))
+    code, out, err = run(capsys, "gamma", "--n", "5", "--set", "1,2")
+    assert code == 3
+    assert out == ""
+    assert "invalid witness" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("shift", [1, -1], ids=["up", "down"])
+def test_exit_3_on_faulty_residue_table(capsys, monkeypatch, empty_caches, shift):
+    # a decode through a shifted table yields a residue outside [0, n):
+    # n itself, which the re-encoding cannot write, or -1, which it would
+    # write as n - 1.  Z_5 with steps {5}, offsets {0}, has the full mask
+    # as its one cover, which a shift by one only rotates
+    table = tuple(range(shift, shift + solver.MAX_MODULUS))
+    monkeypatch.setattr(solver, "_residues", table)
+    for argv in [*KERNEL_FAULT_ARGV, ("gamma", "--n", "5", "--set", "5")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "invalid witness" in err
+        assert "Traceback" not in err
+
+
 # a kernel fault run in a fresh interpreter under a timeout: a check that
 # decoded the mask first would loop forever on a negative one
 FAULTY_KERNEL = """
@@ -420,6 +447,44 @@ def test_compiled_kernel_matches_golden_bytes(capsys, monkeypatch, empty_caches,
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / name).read_text()
+
+
+# runs every golden case in one interpreter, standard library only, and
+# prints [exit code, stdout] per case as JSON
+GOLDEN_DRIVER = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from domkit.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+# pyproject.toml says requires-python >= 3.10; the suite itself runs on one
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_golden_bytes_on_other_interpreters(python):
+    exe = shutil.which(python)
+    probe = exe and subprocess.run([exe, "-I", "-S", "-c", ""], capture_output=True)
+    if not probe or probe.returncode:
+        pytest.skip(f"no {python} on PATH")
+    cases = GOLDEN_SOLVES + GOLDEN_BUILDS
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [exe, "-I", "-S", "-c", GOLDEN_DRIVER, str(src), json.dumps([argv for argv, _ in cases])],
+        capture_output=True,
+        check=True,
+        timeout=300,
+    )
+    assert proc.stderr == b""
+    results = json.loads(proc.stdout)
+    for (argv, name), (code, out) in zip(cases, results, strict=True):
+        assert code == 0, argv
+        assert out.encode() == (GOLDEN / name).read_bytes(), argv
 
 
 HUGE = 99999999999999999999

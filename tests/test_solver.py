@@ -123,6 +123,28 @@ def test_verify_witness():
             verify_witness(inst, frozenset({0, w}))
 
 
+def test_residue_table_decodes_each_modulus(monkeypatch):
+    # the table grows to the next power of two at or above n, reaches
+    # MAX_MODULUS at 8191, and the later, smaller moduli reuse it
+    monkeypatch.setattr(solver, "_residues", ())
+    masks = []
+    solve = solver._kernel.solve_cover
+
+    def recorded(n, offsets, lb=0):
+        out = solve(n, offsets, lb)
+        masks.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver._kernel, "solve_cover", recorded)
+    sizes = []
+    for n in (1, 2, 257, 8191, MAX_MODULUS, 5, 3000, 100):
+        witness = gamma_exact(reduce_mod(DifferenceSet((1, 2)), n)).witness
+        assert witness == {i for i in range(n) if masks[-1] >> i & 1}, n
+        sizes.append(len(solver._residues))
+    assert sizes == [1, 2, 512] + [MAX_MODULUS] * 5
+    assert solver._residues == tuple(range(MAX_MODULUS))
+
+
 @pytest.mark.parametrize(
     "n, connection, found",
     [
