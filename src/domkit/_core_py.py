@@ -79,10 +79,35 @@ not check lb: one above gamma may return a cover that is not minimum.
 The period scan (domkit.search) passes ceil(p * rho) with rho the
 closed-form ratio, so there the result trusts the closed form.
 
+A memo replays repeated subtrees.  Below a node, until a leaf makes a
+new best, the walk reads only the node's uncovered targets (and from
+them left and need), allowed on reach, cover[v] & uncovered for v in
+reach, and the gap best_size - size; reach, the dominators of the
+uncovered targets, is the OR of uncovered rotated down by each offset.
+touched only narrows the branch pass, which picks the target the full
+pass would, and chosen and lb are read only at a leaf.  So a subtree
+that makes no new best counts a number of nodes that its key (gap,
+uncovered, allowed & reach) alone decides, and a later child with the
+same key would walk the same subtree and make no new best either.  Such
+a child is vetted and counted as before, and then, instead of being
+entered, it adds the stored count, and the walk goes on as when that
+subtree is finished.  A child that is entered pushes a marker frame
+under its subtree, with its key, best_size and explored; the marker
+cannot pass the bound (its size + need is n + 1), so the resume loop
+drops it once the subtree is finished, and stores the subtree's count
+then if best_size has not changed.  The memo runs only at children with
+a gap of 4 or more, since one with a gap of 3 resolves its own children
+in place, so that its subtree is one level, and only once the solve has
+counted _MEMO_START nodes: on the small trees of the gamma benchmark
+the keys cost more than the hits save.  Each stored entry is charged
+2n + 1024 bits, its two masks and about what its tuple, count and dict
+slot take; once _MEMO_BITS are charged it stores nothing more and still
+answers hits.  It holds ints and tuples of ints only.
+
 The compiled twin in domkit._core enters those last-level children
-instead and looks at every uncovered target for the branch vertex; it
-walks the same tree and both must return identical (size, witness,
-explored) triples, for every lb.
+instead, looks at every uncovered target for the branch vertex, and has
+no memo; it walks the same tree and both must return identical (size,
+witness, explored) triples, for every lb.
 """
 
 from __future__ import annotations
@@ -92,6 +117,11 @@ import operator
 
 
 _LOW64 = (1 << 64) - 1
+# the memo of subtree node counts (see the module docstring) runs once a
+# solve has counted _MEMO_START nodes, and stores no more once its entries
+# are charged _MEMO_BITS bits, 2n + 1024 each
+_MEMO_START = 4096
+_MEMO_BITS = 1 << 24
 _ONES = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -290,6 +320,9 @@ def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, i
     touched = 0
     chosen = 1
     explored = 1
+    memo = {}  # (gap, uncovered, allowed & reach) -> nodes below the node
+    budget = _MEMO_BITS
+    ups = [n - t for t in distinct]
     # a branch order key is (uncovered targets after v) << shift | v
     shift = n.bit_length()
     vmask = (1 << shift) - 1
@@ -336,7 +369,26 @@ def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, i
                         if i + 1 < count:
                             push((uncovered, chosen, size, left, need, order, count, i + 1,
                                   allowed ^ (1 << v), touched | cover[v]))
-                        uncovered &= ~cover[v]
+                        rest = uncovered & ~cover[v]
+                        if explored >= _MEMO_START and best_size - size > 4:
+                            # the child's key: reach is the OR of its
+                            # uncovered rotated down by each offset
+                            acc = 0
+                            for up in ups:
+                                acc |= rest << up
+                            state = (best_size - size - 1, rest, allowed & (acc | acc >> n))
+                            nodes = memo.get(state)
+                            if nodes is not None:
+                                # count the child's subtree and go on as when
+                                # it is finished
+                                explored += nodes
+                                i = count
+                                continue
+                            if budget > 0:
+                                # a marker under the child's subtree; its
+                                # size + need exceeds n, so it is never resumed
+                                push((state, best_size, 0, explored, n + 1, None, 0, 0, 0, 0))
+                        uncovered = rest
                         chosen |= 1 << v
                         size += 1
                         left = cl
@@ -391,5 +443,10 @@ def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, i
                 uncovered, chosen, size, left, need, order, count, i, allowed, touched = pop()
                 if size + need < best_size:
                     break
+                if order is None and chosen == best_size and budget > 0:
+                    # a marker (state, best_size, 0, explored, ...) from the
+                    # entry of a child whose subtree is now finished
+                    memo[uncovered] = explored - left
+                    budget -= 2 * n + 1024
             else:
                 return best_size, best_mask, explored

@@ -417,6 +417,8 @@ GOLDEN_SOLVES = [
     # 6,670-node search whose node count the greedy's size sets
     (("gamma", "--n", "8191", "--set", "1,2"), "gamma_n8191_set1_2.out"),
     (("gamma", "--n", "4002", "--set", "1,5"), "gamma_n4002_set1_5.out"),
+    # a scan whose largest periods the pure kernel's memo replays
+    (("search", "--set", "1,4", "--max-period", "64"), "search_set1_4_max64.out"),
 ]
 
 # one construct --verify per RatioCase

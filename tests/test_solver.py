@@ -302,8 +302,13 @@ def test_greedy_matches_rescanning_greedy():
         assert core_py.greedy(n, offsets) == lazy_greedy(n, offsets), (n, offsets)
 
 
-def recursive_solve_cover(n, offsets):
-    """solve_cover as first written: one recursive call per search node."""
+class FloorMet(Exception):
+    pass
+
+
+def recursive_solve_cover(n, offsets, lb=0):
+    """solve_cover as first written: one recursive call per search node,
+    stopped once the best cover has at most lb elements."""
     m = len(offsets)
     distinct = sorted({t % n for t in offsets})
     full = (1 << n) - 1
@@ -316,6 +321,8 @@ def recursive_solve_cover(n, offsets):
             table.append(row)
 
     best_size, best_mask = core_py.greedy(n, distinct)
+    if best_size <= lb:
+        return best_size, best_mask, 1
     explored = 0
 
     def rec(covered, excluded, chosen, size):
@@ -325,6 +332,8 @@ def recursive_solve_cover(n, offsets):
             if size < best_size:
                 best_size = size
                 best_mask = chosen
+                if best_size <= lb:
+                    raise FloorMet
             return
         need = (n - covered.bit_count() + m - 1) // m
         if size + need >= best_size:
@@ -360,17 +369,26 @@ def recursive_solve_cover(n, offsets):
             if size + need >= best_size:
                 return
 
-    rec(cover[0], 0, 1, 1)
+    try:
+        rec(cover[0], 0, 1, 1)
+    except FloorMet:
+        pass
     return best_size, best_mask, explored
+
+
+def small_random_inputs(rng):
+    """2,000 (n, offsets) with n <= 24: negative, unreduced and repeated
+    offsets."""
+    for _ in range(2000):
+        n = rng.randint(1, 24)
+        offsets = [rng.randint(-100, 100) for _ in range(rng.randint(1, 6))]
+        offsets += rng.sample(offsets, rng.randint(0, len(offsets)))
+        yield n, offsets
 
 
 def test_solve_cover_matches_recursive_solve_cover():
     rng = random.Random(97531)
-    for _ in range(2000):
-        n = rng.randint(1, 24)
-        # negative, unreduced and repeated offsets
-        offsets = [rng.randint(-100, 100) for _ in range(rng.randint(1, 6))]
-        offsets += rng.sample(offsets, rng.randint(0, len(offsets)))
+    for n, offsets in small_random_inputs(rng):
         assert core_py.solve_cover(n, offsets) == recursive_solve_cover(n, offsets)
     # the gamma benchmark's sizes, where nearly half the entered nodes are
     # one level above the leaves, which the pure kernel resolves in place
@@ -399,6 +417,41 @@ def test_solve_cover_matches_recursive_solve_cover():
     assert pure == recursive_solve_cover(46, [0, 1, 4])
     # a deep tree: 151,050 nodes
     assert core_py.solve_cover(30, [0, 1, 16]) == recursive_solve_cover(30, [0, 1, 16])
+
+
+@pytest.mark.parametrize("bits", [core_py._MEMO_BITS, 4096])
+def test_memo_matches_recursive_solve_cover(monkeypatch, bits):
+    # the memo at every child with a gap of 4 or more, from the first node
+    # on; 4,096 bits hold four entries at these n, and storing stops
+    # partway through 334 of the searches
+    monkeypatch.setattr(core_py, "_MEMO_START", 0)
+    monkeypatch.setattr(core_py, "_MEMO_BITS", bits)
+    for n, offsets in small_random_inputs(random.Random(97531)):
+        full = recursive_solve_cover(n, offsets)
+        assert core_py.solve_cover(n, offsets) == full
+        for lb in {full[0] - 1, full[0]} - {0}:
+            assert core_py.solve_cover(n, offsets, lb) == recursive_solve_cover(n, offsets, lb)
+
+
+def test_memo_keeps_deep_node_counts():
+    # counts of the search without the memo, which the pure kernel's memo
+    # replays: {1, 4} at periods 60 and 70 with their floors
+    assert core_py.solve_cover(60, [0, 1, 4], 24) == (24, 0x294A5294A5294A5, 620877)
+    assert core_py.solve_cover(70, [0, 1, 4], 28)[::2] == (28, 4682540)
+
+
+def test_memo_memory_is_bounded():
+    # {1, 2, 7} mod 1200, whose perfect code the greedy bound misses: a
+    # 138,411-node search that peaks at about 0.63 MB without the memo
+    # (mostly the n-row tables) and 1.4 MB with it
+    tracemalloc.start()
+    try:
+        result = core_py.solve_cover(1200, [0, 1, 2, 7])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result[::2] == (300, 138411)
+    assert peak < 2 * 2**20
 
 
 def test_floor_keeps_size_and_witness():
@@ -694,6 +747,14 @@ def test_kernels_agree_bit_for_bit(core_c):
     assert pure[2] == 6670
     # a deep search: 250 chosen vertices
     assert core_py.solve_cover(1250, [0, 1, 2, 3, -6]) == core_c.solve_cover(1250, [0, 1, 2, 3, -6])
+    # trees that the pure kernel's memo replays and the compiled one walks:
+    # {1, 4} at period 60 with its floor, and family_set(4, 7) mod 1200,
+    # whose perfect code the greedy bound misses
+    efficient = sorted(reduce_mod(family_set(4, 7), 1200).connection | {0})
+    for n, offsets, lb, explored in [(60, [0, 1, 4], 24, 620877), (1200, efficient, 0, 138411)]:
+        pure = core_py.solve_cover(n, offsets, lb)
+        assert pure[2] == explored
+        assert pure == core_c.solve_cover(n, offsets, lb)
     # the period scan's traffic: each family member's quotients, with the
     # floor ceil(p * rho) that search_ratio passes
     scanned = set()
