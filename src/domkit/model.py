@@ -251,17 +251,6 @@ def block_to_periodic(blocks: BlockStructure) -> PeriodicSet:
     return PeriodicSet(sum(sizes), frozenset(accumulate(sizes[:-1], initial=0)))
 
 
-def _numeral(n: int, residues: Iterable[int]) -> bytearray:
-    """The n-digit binary numeral of residues in [0, n): digit r from the
-    left is "1" exactly when r is a residue.  A residue at or above n
-    raises IndexError; a negative one writes the digit of r + n, so a
-    caller that does not know its residues are in range checks them."""
-    digits = bytearray(b"0") * n
-    for r in residues:
-        digits[r] = 49  # ord("1")
-    return digits
-
-
 def _rotations_cover(n: int, mask: int, shifts: Iterable[int]) -> bool:
     """Whether the OR of the n-bit mask rotated left by each shift in
     [0, n) sets all n bits: whether A + shifts = Z_n for the residues A
@@ -278,16 +267,19 @@ def covers_cycle(n: int, a: Collection[int], b: Collection[int]) -> bool:
     """Whether A + B = Z_n, for two sets of residues in [0, n).
 
     Coverage is the OR of the rotations of one n-bit residue mask: the
-    larger set becomes the mask through its n-digit binary numeral
-    (_numeral, digit r for residue r), and _rotations_cover rotates the
-    mask by each element of the smaller set.  That costs min(|A|, |B|)
-    shifts of n-bit integers.  If |A| * |B| < n no mask is built, since
-    A + B has at most that many elements.  solver._certify checks a
-    kernel's witness with the same two helpers.
+    larger set becomes the mask through its n-digit binary numeral, digit
+    r for residue r, and _rotations_cover rotates the mask by each element
+    of the smaller set.  That costs min(|A|, |B|) shifts of n-bit
+    integers.  If |A| * |B| < n no mask is built, since A + B has at most
+    that many elements.  solver._certify checks a kernel's mask with the
+    same _rotations_cover.
     """
     if len(a) * len(b) < n:
         return False
     if len(a) < len(b):
         a, b = b, a
+    digits = bytearray(b"0") * n  # one byte store per residue
+    for r in a:
+        digits[r] = 49  # ord("1")
     # digit r from the left is bit r once the numeral is reversed
-    return _rotations_cover(n, int(_numeral(n, a)[::-1], 2), b)
+    return _rotations_cover(n, int(digits[::-1], 2), b)

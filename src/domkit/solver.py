@@ -18,7 +18,7 @@ from .model import (
     CirculantInstance,
     ConsistencyError,
     DifferenceSet,
-    _numeral,
+    _check_residues,
     _Record,
     _rotations_cover,
     covers_cycle,
@@ -82,23 +82,10 @@ def gamma_exact(inst: CirculantInstance) -> GammaCertificate:
     return _certify(inst.modulus, _offsets(inst), 0)
 
 
-# residues 0, 1, ... for _certify's decode, grown to the next power of two
-# at or above the largest modulus met, at most MAX_MODULUS: compress picks
-# the cover's residues from it, so no int is made for a vertex outside it
-_residues: tuple[int, ...] = ()
 # each "0" of a numeral becomes a NUL byte, the one false byte, so that
 # compress keeps exactly the residues of the set digits (translate, since
 # bytes.replace takes several times as long)
 _ZERO_TO_NUL = bytes.maketrans(b"0", b"\0")
-
-
-def _residue_table(n: int) -> tuple[int, ...]:
-    """_residues, grown first if it holds fewer than n entries; n must be
-    at most MAX_MODULUS."""
-    global _residues
-    if len(_residues) < n:
-        _residues = tuple(range(min(1 << (n - 1).bit_length(), MAX_MODULUS)))
-    return _residues
 
 
 def _certify(n: int, offsets: tuple[int, ...], lb: int) -> GammaCertificate:
@@ -107,35 +94,21 @@ def _certify(n: int, offsets: tuple[int, ...], lb: int) -> GammaCertificate:
     at most gamma (the kernel cannot check that); a gamma below lb is an
     error.  Every kernel solve goes through here.
 
-    Once the mask guard has ruled out bits outside [0, n), the kernel's
-    mask is written once as an n-digit numeral, digit r for vertex r, and
-    the witness is decoded from it over the residue table.  The check does
-    not trust the decode: the witness must hold size residues, none
-    negative, and re-encode on its own (model._numeral, which rejects a
-    residue at or above n) to the kernel's numeral; then the mask, which
-    is therefore the witness's, must cover Z_n rotated by each offset
-    (model._rotations_cover, as covers_cycle folds it).
+    The check reads the kernel's mask alone: no bit at or above n and not
+    negative, size set bits, and its rotations by the offsets cover Z_n
+    (model._rotations_cover, as covers_cycle folds it); then gamma must be
+    at least lb.  Only a checked mask is decoded, once: bit r of the mask
+    is the reversed binary numeral's byte r, which picks residue r.
     """
     _check_modulus(n)
     size, mask, explored = _kernel.solve_cover(n, list(offsets), lb)
-    if mask >> n:  # a negative mask too, which bin() writes with a sign
-        raise ConsistencyError(f"kernel returned a mask outside Z_{n} for {(n, offsets)}")
-    numeral = bin(mask)[:1:-1].ljust(n, "0").encode()
-    witness = frozenset(itertools.compress(_residue_table(n), numeral.translate(_ZERO_TO_NUL)))
-    try:
-        encoded = _numeral(n, witness)
-    except IndexError:  # a residue at or above n
-        encoded = None
-    if (
-        len(witness) != size
-        or min(witness, default=0) < 0  # which _numeral writes as r + n
-        or encoded != numeral
-        or not _rotations_cover(n, mask, offsets)
-    ):
+    # mask >> n is nonzero for a bit at or above n and for any negative mask
+    if mask >> n or mask.bit_count() != size or not _rotations_cover(n, mask, offsets):
         raise ConsistencyError(f"kernel returned an invalid witness for {(n, offsets)}")
     if size < lb:
         raise ConsistencyError(f"period {n}: gamma {size} is below the floor {lb}")
-    return GammaCertificate(size, witness, explored)
+    selectors = bin(mask)[:1:-1].encode().translate(_ZERO_TO_NUL)
+    return GammaCertificate(size, frozenset(itertools.compress(range(n), selectors)), explored)
 
 
 # gamma_shared keeps gammas until their keys hold this many residues in
@@ -253,11 +226,8 @@ def verify_witness(inst: CirculantInstance, witness: frozenset[int]) -> bool:
     mask, built from the larger of witness and the offsets and rotated by
     each element of the smaller.
     """
-    n = inst.modulus
-    for w in witness:
-        if not 0 <= w < n:
-            raise ValueError(f"witness residue {w} outside [0, {n})")
-    return covers_cycle(n, witness, _offsets(inst))
+    _check_residues(witness, inst.modulus)
+    return covers_cycle(inst.modulus, witness, _offsets(inst))
 
 
 def perfect_code_exists(inst: CirculantInstance) -> frozenset[int] | None:

@@ -299,22 +299,6 @@ def test_exit_3_on_kernel_size_not_its_popcount(capsys, monkeypatch, empty_cache
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("shift", [1, -1], ids=["up", "down"])
-def test_exit_3_on_faulty_residue_table(capsys, monkeypatch, empty_caches, shift):
-    # a decode through a shifted table yields a residue outside [0, n):
-    # n itself, which the re-encoding cannot write, or -1, which it would
-    # write as n - 1.  Z_5 with steps {5}, offsets {0}, has the full mask
-    # as its one cover, which a shift by one only rotates
-    table = tuple(range(shift, shift + solver.MAX_MODULUS))
-    monkeypatch.setattr(solver, "_residues", table)
-    for argv in [*KERNEL_FAULT_ARGV, ("gamma", "--n", "5", "--set", "5")]:
-        code, out, err = run(capsys, *argv)
-        assert code == 3, argv
-        assert out == ""
-        assert "invalid witness" in err
-        assert "Traceback" not in err
-
-
 # a kernel fault run in a fresh interpreter under a timeout: a check that
 # decoded the mask first would loop forever on a negative one
 FAULTY_KERNEL = """

@@ -123,26 +123,57 @@ def test_verify_witness():
             verify_witness(inst, frozenset({0, w}))
 
 
-def test_residue_table_decodes_each_modulus(monkeypatch):
-    # the table grows to the next power of two at or above n, reaches
-    # MAX_MODULUS at 8191, and the later, smaller moduli reuse it
-    monkeypatch.setattr(solver, "_residues", ())
+@pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])
+def test_witness_decodes_the_kernel_mask(monkeypatch, core_c, compiled):
+    # the witness is the residues of the mask the kernel returned: at the
+    # least moduli, up to MAX_MODULUS and back down.  Z_5 with steps {5},
+    # offsets {0}, has the full mask as its one cover
+    if compiled and core_c is None:
+        pytest.skip("no C compiler")
+    kernel = core_c if compiled else core_py
     masks = []
-    solve = solver._kernel.solve_cover
+    solve = kernel.solve_cover
 
     def recorded(n, offsets, lb=0):
         out = solve(n, offsets, lb)
         masks.append(out[1])
         return out
 
-    monkeypatch.setattr(solver._kernel, "solve_cover", recorded)
-    sizes = []
-    for n in (1, 2, 257, 8191, MAX_MODULUS, 5, 3000, 100):
-        witness = gamma_exact(reduce_mod(DifferenceSet((1, 2)), n)).witness
-        assert witness == {i for i in range(n) if masks[-1] >> i & 1}, n
-        sizes.append(len(solver._residues))
-    assert sizes == [1, 2, 512] + [MAX_MODULUS] * 5
-    assert solver._residues == tuple(range(MAX_MODULUS))
+    monkeypatch.setattr(solver, "_kernel", kernel)
+    monkeypatch.setattr(kernel, "solve_cover", recorded)
+    cases = [(n, (1, 2)) for n in (1, 2, 257, 8191, MAX_MODULUS, 5, 3000, 100)]
+    for n, steps in [*cases, (5, (5,))]:
+        witness = gamma_exact(reduce_mod(DifferenceSet(steps), n)).witness
+        assert witness == {i for i in range(n) if masks[-1] >> i & 1}, (n, steps)
+    assert masks[-1] == 0b11111 and witness == set(range(5))
+
+
+# gamma_exact in a fresh interpreter, which imported domkit.solver and
+# nothing else of the test suite: the module's globals before and after
+KEEPS_NOTHING = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from domkit import solver
+from domkit.model import DifferenceSet
+before = dict(vars(solver))
+for n, steps in ((solver.MAX_MODULUS, (1, 2)), (5, (5,))):
+    solver.gamma_exact(solver.reduce_mod(DifferenceSet(steps), n))
+after = vars(solver)
+assert after.keys() == before.keys(), sorted(after.keys() ^ before.keys())
+rebound = [name for name, value in before.items() if after[name] is not value]
+assert not rebound, rebound
+assert solver._gamma_cache == {}
+"""
+
+
+def test_gamma_exact_keeps_nothing():
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", KEEPS_NOTHING, str(SRC)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
