@@ -3,7 +3,9 @@
    A port of domkit._core_py.solve_cover onto 64-bit bitset words: the
    same greedy upper bound, branch vertex, branch order, tie-breaks and
    node count, so both kernels return identical (size, witness, explored)
-   triples.  Only Python.h and libc are used.
+   triples.  The k offsets are as domkit.solver._offsets gives them,
+   strictly ascending in [0, n); anything else is a ValueError, checked
+   before any table is indexed.  Only Python.h and libc are used.
    Every index is a size_t, so n * W cannot wrap for any n that fits in
    memory.
 
@@ -56,7 +58,7 @@ typedef struct {
 } Level;
 
 typedef struct {
-    size_t n, m, W, k;     /* modulus, offset count, words per mask, distinct offsets */
+    size_t n, W, k;        /* modulus, words per mask, offsets */
     size_t best_size;
     size_t lb;             /* stop once best_size <= lb */
     long long explored;
@@ -75,12 +77,6 @@ static void *calloc2(size_t a, size_t b, size_t size)
     return calloc(a * b, size);
 }
 
-static int cmp_size(const void *a, const void *b)
-{
-    size_t x = *(const size_t *)a, y = *(const size_t *)b;
-    return (x > y) - (x < y);
-}
-
 /* popcount(a & b) over W words */
 static size_t pop_and(const u64 *a, const u64 *b, size_t W)
 {
@@ -90,7 +86,7 @@ static size_t pop_and(const u64 *a, const u64 *b, size_t W)
     return c;
 }
 
-/* greedy cover of _core_py.greedy over the k distinct offsets dist: each
+/* greedy cover of _core_py.greedy over the k offsets dist: each
    pick has the most fresh targets, the lowest vertex on ties.  gain[v] is
    the number of targets of v not yet covered; gains only fall, so while
    top stays the scan resumes at the last pick.  This is the gain loop
@@ -187,7 +183,7 @@ static void expand(Search *s, size_t d)
    of _core_py.solve_cover, with the node at depth d of size d + 1 */
 static void search(Search *s)
 {
-    const size_t W = s->W, m = s->m, k = s->k;
+    const size_t W = s->W, k = s->k;
     size_t d = 0, h, j, v;
     Child c;
 
@@ -196,7 +192,7 @@ static void search(Search *s)
         /* a node with no child left, or cut by a best_size found since it
            was entered, is done: resume its parent */
         Level *lv = s->level + d;
-        if (lv->next == lv->count || d + 1 + (lv->left + m - 1) / m >= s->best_size) {
+        if (lv->next == lv->count || d + 1 + (lv->left + k - 1) / k >= s->best_size) {
             if (d == 0)
                 return;
             d--;
@@ -204,7 +200,7 @@ static void search(Search *s)
         }
         /* vet its next child from the child's uncovered count */
         c = s->order[d * k + lv->next++];
-        if (c.cl && d + 2 + (c.cl + m - 1) / m < s->best_size) {
+        if (c.cl && d + 2 + (c.cl + k - 1) / k < s->best_size) {
             u64 *unc = s->unc + d * W, *alw = s->alw + d * W;
             s->explored++;
             for (j = 0; j < W; j++) {
@@ -290,8 +286,8 @@ static PyObject *mask_to_int(const u64 *mask, size_t W)
 
 static PyObject *solve_cover(PyObject *self, PyObject *args)
 {
-    Py_ssize_t n_arg, m_arg, lb_arg = 0, t;
-    PyObject *offsets, *seq, *mod = NULL, *r, *witness, *result = NULL;
+    Py_ssize_t n_arg, k_arg, lb_arg = 0, t;
+    PyObject *offsets, *seq, *witness, *result = NULL;
     Search s = {0};
     size_t n, W, i, k, *offs = NULL;
 
@@ -309,44 +305,35 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
     seq = PySequence_Fast(offsets, "offsets must be a sequence");
     if (seq == NULL)
         return NULL;
-    m_arg = PySequence_Fast_GET_SIZE(seq);
-    if (m_arg == 0) {
+    k_arg = PySequence_Fast_GET_SIZE(seq);
+    if (k_arg == 0) {
         PyErr_SetString(PyExc_ValueError, "offsets must be nonempty");
         goto done;
     }
 
     n = s.n = (size_t)n_arg;
-    s.m = (size_t)m_arg;
+    k = s.k = (size_t)k_arg;
     s.lb = (size_t)lb_arg;
     W = s.W = (n + 63) >> 6;
 
-    /* offsets reduced into [0, n) by Python's own %, so no index leaves
-       the tables and no size overflows whatever the caller passes */
-    mod = PyLong_FromSsize_t(n_arg);
-    if (mod == NULL)
-        goto done;
-    offs = PyMem_Calloc(s.m, sizeof(size_t));
+    /* strictly ascending in [0, n), so no index leaves the tables and
+       k <= n bounds every size */
+    offs = PyMem_Calloc(k, sizeof(size_t));
     if (offs == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (i = 0; i < s.m; i++) {
-        r = PyNumber_Remainder(PySequence_Fast_GET_ITEM(seq, i), mod);
-        if (r == NULL)
-            goto done;
-        t = PyLong_AsSsize_t(r);
-        Py_DECREF(r);
+    for (i = 0; i < k; i++) {
+        t = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(seq, i));
         if (t == -1 && PyErr_Occurred())
             goto done;
+        if (t < 0 || t >= n_arg || (i && (size_t)t <= offs[i - 1])) {
+            PyErr_SetString(PyExc_ValueError, "offsets must ascend within [0, n)");
+            goto done;
+        }
         offs[i] = (size_t)t;
     }
-    /* the k distinct ones, ascending; the lower bound still divides by m */
-    qsort(offs, s.m, sizeof(size_t), cmp_size);
-    for (k = i = 0; i < s.m; i++)
-        if (k == 0 || offs[i] != offs[k - 1])
-            offs[k++] = offs[i];
 
-    s.k = k;
     s.best = calloc(W, sizeof(u64));
     if (s.best == NULL || greedy(&s, offs) < 0) {
         PyErr_NoMemory();
@@ -354,12 +341,13 @@ static PyObject *solve_cover(PyObject *self, PyObject *args)
     }
 
     /* fix vertex 0 in the witness: some rotation of any cover contains it.
-       It covers the k distinct offsets, so the root has n - k targets
-       uncovered; if that is none, greedy's first pick, vertex 0, already
-       made best_size 1.  The tables are built only past the root, and
-       not when greedy already meets the floor lb. */
+       It covers the k offsets, so the root has n - k targets uncovered
+       and the bound 1 + ceil((n - k) / k) = ceil(n / k); if none is
+       uncovered, greedy's first pick, vertex 0, already made best_size 1.
+       The tables are built only past the root, and not when greedy
+       already meets the floor lb. */
     s.explored = 1;
-    if (1 + (n - k + s.m - 1) / s.m < s.best_size && s.best_size > s.lb) {
+    if ((n + k - 1) / k < s.best_size && s.best_size > s.lb) {
         if (prepare(&s, offs) < 0) {
             PyErr_NoMemory();
             goto done;
@@ -377,7 +365,6 @@ done:
     free(s.cover);
     free(s.order);
     free(s.level);
-    Py_XDECREF(mod);
     Py_DECREF(seq);
     return result;
 }
@@ -385,8 +372,9 @@ done:
 static PyMethodDef core_methods[] = {
     {"solve_cover", solve_cover, METH_VARARGS,
      "solve_cover(n, offsets, lb=0, /) -> (size, witness, explored)\n\n"
-     "Minimum |W|, a witness bitmask, and the node count of the search;\n"
-     "it stops once its best cover has at most lb elements."},
+     "Minimum |W|, a witness bitmask, and the node count of the search,\n"
+     "for offsets strictly ascending in [0, n); it stops once its best\n"
+     "cover has at most lb elements."},
     {NULL, NULL, 0, NULL},
 };
 

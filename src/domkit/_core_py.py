@@ -1,10 +1,12 @@
 """Pure-Python kernel for exact minimum covering by cyclic shifts.
 
 solve_cover finds a smallest W within Z_n such that W + offsets = Z_n,
-by depth-first branch and bound over coverage bitmasks:
+by depth-first branch and bound over coverage bitmasks.  The k offsets T
+are as domkit.solver._offsets gives them, strictly ascending in [0, n);
+anything else is a ValueError.
 
   - upper bound: deterministic greedy (max fresh coverage, lowest index)
-    in two phases for k distinct offsets T.  While some vertex has all k
+    in two phases for the k offsets T.  While some vertex has all k
     targets fresh, the pick is the lowest vertex outside picks + (T - T).
     Every element of T - T lies within c of 0 mod n, so below n - c no
     exclusion wraps past n and these picks are first-fit on a window of
@@ -20,16 +22,16 @@ by depth-first branch and bound over coverage bitmasks:
     lowest on ties; the pass looks only at the uncovered targets in
     touched, the union of cover[v] over the excluded vertices v, and at
     the lowest uncovered target outside it.  A target outside touched
-    keeps all k distinct dominators, the most any target has, and the
-    pass, in ascending order, keeps only a strictly smaller count, so
-    of those targets only the lowest can be picked; the lowest
-    uncovered target is always looked at, so the same x is picked,
-    also when the pass stops at a count of 0 or 1.  A node costs
-    |touched & uncovered| + 1 targets instead of |uncovered|
+    keeps all k dominators, the most any target has, and the pass, in
+    ascending order, keeps only a strictly smaller count, so of those
+    targets only the lowest can be picked; the lowest uncovered target
+    is always looked at, so the same x is picked, also when the pass
+    stops at a count of 0 or 1.  A node costs |touched & uncovered| + 1
+    targets instead of |uncovered|
   - branch order: dominators by descending fresh coverage, then index
   - completeness: after a dominator is tried it is excluded from the rest
     of the node, so subtrees never overlap
-  - lower bound: ceil(uncovered / len(offsets))
+  - lower bound: ceil(uncovered / k)
   - symmetry: the search fixes vertex 0 in W; rotating any cover moves
     some element onto 0, so the optimum is preserved
   - explicit stack: the depth-first walk is one loop, so its depth (one
@@ -38,14 +40,14 @@ by depth-first branch and bound over coverage bitmasks:
     order and next child) only while it has a child left after the one
     entered; no closure refers to itself, so the tables are freed on
     return, not by the cyclic garbage collector
-  - set-up: the root needs only its uncovered count, n minus the distinct
-    offsets, so the n-row cover and dom tables are built only when the
-    greedy bound does not already cut the root
+  - set-up: the root needs only its uncovered count, n - k, so the n-row
+    cover and dom tables are built only when the greedy bound does not
+    already cut the root
 
 Each child is vetted from its fresh coverage g before it is entered: it
 has left - g targets uncovered, so it is a leaf when that is 0, and it is
-cut when size + 1 + ceil((left - g) / len(offsets)) reaches best_size.
-Only the rest are entered.  Each vetted child still counts as a node.
+cut when size + 1 + ceil((left - g) / k) reaches best_size.  Only the
+rest are entered.  Each vetted child still counts as a node.
 Children come by descending g, so once one is cut every later one is cut
 too: best_size falls only at a leaf, and none was met in between.  Those
 children are counted at once, with the same count as entering each.
@@ -56,13 +58,12 @@ pass the bound, and the first of them decides it.  Its children come by
 descending coverage, then index, so that first one is a leaf exactly
 when some allowed vertex covers all of the child's uncovered targets,
 and then it is the lowest such vertex.  So the child is resolved in
-place, without a frame or a branch order: one pass over its at most
-len(offsets) uncovered targets takes the branch vertex's candidate count
-(lowest target first, stopping at a count of 0 or 1, as an entered node
-does) and the AND of the targets' allowed dominators, whose lowest bit
-is the leaf.  If the pass stopped early at a single dominator, that
-vertex is a leaf only if it covers every uncovered target.  Entering
-would count:
+place, without a frame or a branch order: one pass over its at most k
+uncovered targets takes the branch vertex's candidate count (lowest
+target first, stopping at a count of 0 or 1, as an entered node does)
+and the AND of the targets' allowed dominators, whose lowest bit is the
+leaf.  If the pass stopped early at a single dominator, that vertex is
+a leaf only if it covers every uncovered target.  Entering would count:
   - no leaf: the child and each of its candidates, all cut; then the
     next child is vetted with this one excluded
   - a leaf: the child and the leaf, which makes best_size = size + 2;
@@ -129,10 +130,10 @@ def greedy(n: int, offsets) -> tuple[int, int]:
     """Size and bitmask of the greedy cover: each pick is the vertex with
     the most fresh (not yet covered) targets, the lowest one on ties.
 
-    Phase 1 makes the picks that have all k targets fresh, k the number
-    of distinct offsets T.  v has gain k iff v is outside picks + D, D =
-    T - T, and these picks ascend: each is the lowest vertex above the
-    last pick, base, outside picks + D.  D is symmetric mod n, and c is
+    The k offsets T ascend strictly within [0, n).  Phase 1 makes the
+    picks that have all k targets fresh.  v has gain k iff v is outside
+    picks + D, D = T - T, and these picks ascend: each is the lowest
+    vertex above the last pick, base, outside picks + D.  D is symmetric mod n, and c is
     its largest element up to n / 2, so every element of D is within c
     of 0.  Hence below limit = n - c no exclusion wraps past n: a vertex
     v < limit meets a pick p < v only if v - p <= c.  There the picks are
@@ -154,25 +155,22 @@ def greedy(n: int, offsets) -> tuple[int, int]:
     Phase 2, if targets are left, counts gain[v], the number of v's
     targets still left, from those targets alone: every vertex with a
     gain lies at or above lo, the lowest target left less the largest
-    offset, so gains are kept for vertices lo on, counted as byte lanes
-    of one int (k < 256) or target by target.  Gains only fall, and top
-    starts at the largest gain there is and drops only once no vertex
-    has gain top.  While top stays, every vertex below the last pick
+    offset, so gains are kept for vertices lo on, counted target by
+    target.  Gains only fall, and top starts at the largest gain there is
+    and drops only once no vertex has gain top.  While top stays, every vertex below the last pick
     already has a gain below top, so the scan for the next pick resumes
     there and still finds the lowest vertex with the largest gain.
-    offsets may be unreduced or repeated.
     """
-    distinct = sorted({t % n for t in offsets})
-    k = len(distinct)
+    k = len(offsets)
     full = (1 << n) - 1
     tmask = 0
-    for t in distinct:
+    for t in offsets:
         tmask |= 1 << t
     # D is the OR of T's mask rotated right by each u, folded back into n
     # bits; keep is all but D
     wide = tmask << n
     acc = 0
-    for u in distinct:
+    for u in offsets:
         acc |= wide >> u
     diff = (acc | acc >> n) & full
     keep = full ^ diff
@@ -224,33 +222,22 @@ def greedy(n: int, offsets) -> tuple[int, int]:
         fresh = fresh >> j & keep
     mask |= picked << base
     acc = 0
-    for t in distinct:
+    for t in offsets:
         acc |= mask << t
     covered = (acc | acc >> n) & full  # picks + T
     if covered == full:
         return size, mask
     rest = full ^ covered
-    lo = max((rest & -rest).bit_length() - 1 - distinct[-1], 0)
+    lo = max((rest & -rest).bit_length() - 1 - offsets[-1], 0)
     m = n - lo
     # index x stands for vertex lo + x from here on; x - u below 0 wraps
     # mod n, which happens only when lo == 0
     rows = format(rest >> lo, "b").encode().translate(_ONES)
     wanted = bytearray(rows[::-1].ljust(n, b"\0"))  # 1 while target x is left
-    if k < 256:
-        # byte lane x of lanes is 1 iff target x is left, so lane v of the
-        # sum over u of lanes shifted down u lanes is gain[v]; a lane sums
-        # at most k < 256 ones, so none carries into the next
-        lanes = int.from_bytes(rows, "big")
-        lanes |= lanes << 8 * n
-        acc = 0
-        for u in distinct:
-            acc += lanes >> 8 * u
-        gain = bytearray((acc & ((1 << 8 * m) - 1)).to_bytes(m, "little"))
-    else:
-        gain = [0] * m
-        for x in itertools.compress(range(m), wanted):
-            for u in distinct:
-                gain[x - u] += 1
+    gain = [0] * m
+    for x in itertools.compress(range(m), wanted):
+        for u in offsets:
+            gain[x - u] += 1
     left = rest.bit_count()
     top = k - 1
     while top not in gain:
@@ -267,24 +254,22 @@ def greedy(n: int, offsets) -> tuple[int, int]:
         start = bv
         late[bv >> 3] |= 1 << (bv & 7)
         size += 1
-        for t in distinct:
+        for t in offsets:
             x = bv + t
             if x >= n:
                 x -= n
             if wanted[x]:
                 wanted[x] = 0
                 left -= 1
-                for u in distinct:
+                for u in offsets:
                     gain[x - u] -= 1
     return size, mask | int.from_bytes(late, "little") << lo
 
 
 def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, int]:
-    """Minimum |W|, a witness bitmask, and the node count of the search.
-
-    offsets are reduced mod n; repeats cover nothing new, but the lower
-    bound counts them, as len(offsets).  The search stops once its best
-    cover has at most lb elements (see the module docstring).
+    """Minimum |W|, a witness bitmask, and the node count of the search,
+    for offsets strictly ascending in [0, n).  The search stops once its
+    best cover has at most lb elements (see the module docstring).
     """
     lb = operator.index(lb)  # as the compiled kernel parses its arguments
     if n < 1:
@@ -293,22 +278,23 @@ def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, i
         raise ValueError("lb must be nonnegative")
     if not offsets:
         raise ValueError("offsets must be nonempty")
-    m = len(offsets)
-    distinct = sorted({t % n for t in offsets})
-    best_size, best_mask = greedy(n, distinct)
-    # the root fixes vertex 0, which covers the distinct offsets; if that
-    # is everything, greedy's first pick, vertex 0, already made best_size
-    # 1 and the bound below stops here
+    if offsets[0] < 0 or offsets[-1] >= n or not all(map(operator.lt, offsets, offsets[1:])):
+        raise ValueError("offsets must ascend within [0, n)")
+    k = len(offsets)
+    best_size, best_mask = greedy(n, offsets)
+    # the root fixes vertex 0, which covers the offsets; if that is
+    # everything, greedy's first pick, vertex 0, already made best_size 1
+    # and the bound below stops here
     size = 1
-    left = n - len(distinct)
-    need = (left + m - 1) // m
+    left = n - k
+    need = (left + k - 1) // k
     if size + need >= best_size or best_size <= lb:
         return best_size, best_mask, 1
 
     full = (1 << n) - 1
     # row v + 1 is row v rotated up by one bit
-    cover = [sum(1 << t for t in distinct)]
-    dom = [sum(1 << (-t % n) for t in distinct)]
+    cover = [sum(1 << t for t in offsets)]
+    dom = [sum(1 << (-t % n) for t in offsets)]
     for table in (cover, dom):
         row = table[0]
         for _ in range(n - 1):
@@ -322,7 +308,7 @@ def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, i
     explored = 1
     memo = {}  # (gap, uncovered, allowed & reach) -> nodes below the node
     budget = _MEMO_BITS
-    ups = [n - t for t in distinct]
+    ups = [n - t for t in offsets]
     # a branch order key is (uncovered targets after v) << shift | v
     shift = n.bit_length()
     vmask = (1 << shift) - 1
@@ -363,7 +349,7 @@ def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, i
                 key = order[i]
                 cl = key >> shift
                 v = key & vmask
-                if cl and size + 1 + (cl + m - 1) // m < best_size:
+                if cl and size + 1 + (cl + k - 1) // k < best_size:
                     explored += 1
                     if best_size - size != 3:
                         if i + 1 < count:
@@ -392,7 +378,7 @@ def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, i
                         chosen |= 1 << v
                         size += 1
                         left = cl
-                        need = (cl + m - 1) // m
+                        need = (cl + k - 1) // k
                         break
                     # the child is at the last level: resolve it in place
                     rest = uncovered & ~cover[v]

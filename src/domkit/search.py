@@ -16,7 +16,7 @@ from fractions import Fraction
 from .construct import construct_best
 from .formula import domination_ratio, family_set
 from .model import ConsistencyError, DifferenceSet, PeriodicSet, _Record
-from .solver import MAX_MODULUS, _certify, gamma_shared
+from .solver import MAX_MODULUS, _certify, _offsets, gamma_shared
 
 # int-to-str conversion refuses more than 4300 digits, so a larger period
 # bound is left as c*2^c; 2^14285 > 10^4300, so a huge c never forms 2^c
@@ -86,12 +86,6 @@ def _family_ratio(steps: DifferenceSet) -> Fraction | None:
     return domination_ratio(d, s).value
 
 
-def _period_offsets(elements: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """{0} | steps mod p, sorted: _offsets(reduce_mod(steps, p)) without
-    the instance."""
-    return tuple(sorted({0} | {t % p for t in elements}))
-
-
 def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> SearchReport:
     """Scan periods 1..max_period and report the best certified ratio.
 
@@ -126,11 +120,11 @@ def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> Search
     per_period = []
     best_p, best_gamma = 0, 1  # ratio 1/0, above any period's
     for p in range(1, max_period + 1):
-        g = gamma_shared(p, _period_offsets(elements, p), floors[p])
+        g = gamma_shared(p, _offsets(elements, p), floors[p])
         per_period.append((p, g, Fraction(g, p)))
         if g * best_p < best_gamma * p:
             best_p, best_gamma = p, g
-    cert = _certify(best_p, _period_offsets(elements, best_p), floors[best_p])
+    cert = _certify(best_p, _offsets(elements, best_p), floors[best_p])
     if cert.gamma != best_gamma:
         raise ConsistencyError(f"period {best_p}: solved again {cert.gamma} != scan {best_gamma}")
     return SearchReport(

@@ -72,14 +72,16 @@ def reduce_mod(steps: DifferenceSet, p: int) -> CirculantInstance:
     return CirculantInstance(p, connection, tuple(sorted(counts.items())))
 
 
-def _offsets(inst: CirculantInstance) -> tuple[int, ...]:
-    return tuple(sorted(inst.connection | {0}))
+def _offsets(elements, n: int) -> tuple[int, ...]:
+    """{0} | elements mod n, strictly ascending: the one form both kernels
+    take, and the only place that reduces offsets for a solve."""
+    return tuple(sorted({0} | {t % n for t in elements}))
 
 
 def gamma_exact(inst: CirculantInstance) -> GammaCertificate:
     """Exact domination number with a witness the kernel found and that is
     verified here; every call solves."""
-    return _certify(inst.modulus, _offsets(inst), 0)
+    return _certify(inst.modulus, _offsets(inst.connection, inst.modulus), 0)
 
 
 # each "0" of a numeral becomes a NUL byte, the one false byte, so that
@@ -89,10 +91,10 @@ _ZERO_TO_NUL = bytes.maketrans(b"0", b"\0")
 
 
 def _certify(n: int, offsets: tuple[int, ...], lb: int) -> GammaCertificate:
-    """gamma of Z_n with the sorted offsets, which contain 0 and lie in
-    [0, n) as _offsets gives them, and the kernel's floor lb, which must be
-    at most gamma (the kernel cannot check that); a gamma below lb is an
-    error.  Every kernel solve goes through here.
+    """gamma of Z_n with the offsets as _offsets gives them, and the
+    kernel's floor lb, which must be at most gamma (the kernel cannot check
+    that); a gamma below lb is an error.  Every kernel solve goes through
+    here, and hands the kernel the offsets tuple itself.
 
     The check reads the kernel's mask alone: no bit at or above n and not
     negative, size set bits, and its rotations by the offsets cover Z_n
@@ -101,7 +103,7 @@ def _certify(n: int, offsets: tuple[int, ...], lb: int) -> GammaCertificate:
     is the reversed binary numeral's byte r, which picks residue r.
     """
     _check_modulus(n)
-    size, mask, explored = _kernel.solve_cover(n, list(offsets), lb)
+    size, mask, explored = _kernel.solve_cover(n, offsets, lb)
     # mask >> n is nonzero for a bit at or above n and for any negative mask
     if mask >> n or mask.bit_count() != size or not _rotations_cover(n, mask, offsets):
         raise ConsistencyError(f"kernel returned an invalid witness for {(n, offsets)}")
@@ -123,10 +125,11 @@ _cached_residues = 0  # residues of the offsets tuples in _gamma_cache's keys
 
 
 def _class_key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
-    """Least sorted image of the sorted offsets T under x -> +-x + a mod n.
+    """Least sorted image of the offsets T, as _offsets gives them, under
+    x -> +-x + a mod n.
 
-    Sound on sorted residues in [0, n) only: the differences of unsorted
-    offsets are not T's cyclic gap sequence.
+    Sound on that form only: the differences of unsorted offsets are not
+    T's cyclic gap sequence.
 
     If D + T covers Z_n, so does +-D + (+-T + a): gamma is the same
     across the class.  The images that start at 0 are the partial sums of
@@ -162,16 +165,16 @@ def gamma_shared(n: int, offsets: tuple[int, ...], lb: int = 0) -> int:
     """gamma of Z_n with the offsets, shared across its class under
     x -> +-x + a.
 
-    The offsets are as _certify takes them: sorted, with 0, in [0, n);
-    _class_key is sound on sorted offsets only.  Every key of the cache is
-    (n, T) with T in the class whose gamma it holds, so the offsets
-    themselves are probed first, and a hit computes no class key.  On a
-    miss, (n, class key) is probed; a class met for the first time is
-    solved for these offsets with the kernel's floor lb, which must be a
-    proven lower bound on gamma, and kept under its class key.  Offsets
-    that are not their class key are kept too, so that they hit next time.
-    The keys hold up to MAX_CACHED_RESIDUES residues in all.  No witness
-    is kept: one dominates only the offsets it was solved for.
+    The offsets are as _offsets gives them, which _certify and _class_key
+    rely on.  Every key of the cache is (n, T) with T in the class whose
+    gamma it holds, so the offsets themselves are probed first, and a hit
+    computes no class key.  On a miss, (n, class key) is probed; a class
+    met for the first time is solved for these offsets with the kernel's
+    floor lb, which must be a proven lower bound on gamma, and kept under
+    its class key.  Offsets that are not their class key are kept too, so
+    that they hit next time.  The keys hold up to MAX_CACHED_RESIDUES
+    residues in all.  No witness is kept: one dominates only the offsets
+    it was solved for.
     """
     gamma = _gamma_cache.get((n, offsets))
     if gamma is not None:
@@ -207,7 +210,7 @@ def gamma_bruteforce(inst: CirculantInstance) -> int:
     n = inst.modulus
     if n > 24:
         raise ValueError("oracle size limit")
-    cover = _cover_rows(n, _offsets(inst))
+    cover = _cover_rows(n, _offsets(inst.connection, n))
     full = (1 << n) - 1
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -227,7 +230,7 @@ def verify_witness(inst: CirculantInstance, witness: frozenset[int]) -> bool:
     each element of the smaller.
     """
     _check_residues(witness, inst.modulus)
-    return covers_cycle(inst.modulus, witness, _offsets(inst))
+    return covers_cycle(inst.modulus, witness, _offsets(inst.connection, inst.modulus))
 
 
 def perfect_code_exists(inst: CirculantInstance) -> frozenset[int] | None:

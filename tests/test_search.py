@@ -121,8 +121,9 @@ def refuse(*args):
     raise AssertionError("must not be called in a scan")
 
 
-def test_period_offsets_is_reduce_mods():
-    # p = 1, negative steps and steps that are 0 mod p all come up
+def test_offsets_is_reduce_mods():
+    # the scan's offsets from the steps are the instance's; p = 1, negative
+    # steps and steps that are 0 mod p all come up
     rng = random.Random(2584)
     cases = {"p = 1": 0, "negative": 0, "0 mod p": 0}
     for i in range(300):
@@ -131,7 +132,11 @@ def test_period_offsets_is_reduce_mods():
         if i % 3 == 0:
             steps.append(rng.choice((1, -1)) * rng.randint(1, 3) * p)
         steps = DifferenceSet(tuple(steps))
-        assert search._period_offsets(steps.elements, p) == solver._offsets(reduce_mod(steps, p))
+        offsets = solver._offsets(steps.elements, p)
+        assert offsets == solver._offsets(reduce_mod(steps, p).connection, p)
+        # the kernels' form: 0 first, then strictly ascending below p
+        assert offsets[0] == 0 and offsets[-1] < p
+        assert all(a < b for a, b in zip(offsets, offsets[1:]))
         cases["p = 1"] += p == 1
         cases["negative"] += min(steps) < 0
         cases["0 mod p"] += any(t % p == 0 for t in steps)

@@ -263,10 +263,9 @@ def lazy_greedy(n, offsets):
     are stale but never too low, since gains only fall; the first entry
     popped with its gain still current is the lowest vertex with the
     largest gain."""
-    distinct = {t % n for t in offsets}
-    cover = [sum(1 << ((v + t) % n) for t in distinct) for v in range(n)]
+    cover = [sum(1 << ((v + t) % n) for t in offsets) for v in range(n)]
     full = (1 << n) - 1
-    heap = [(-len(distinct), v) for v in range(n)]
+    heap = [(-len(offsets), v) for v in range(n)]
     best_mask = covd = size = 0
     while covd != full:
         g, v = heapq.heappop(heap)
@@ -284,9 +283,10 @@ def test_greedy_matches_rescanning_greedy():
     rng = random.Random(24680)
     for _ in range(2000):
         n = rng.randint(1, 40)
-        # negative, unreduced and repeated offsets
+        # the kernels' form of negative, unreduced and repeated steps
         offsets = [rng.randint(-100, 100) for _ in range(rng.randint(1, 6))]
         offsets += rng.sample(offsets, rng.randint(0, len(offsets)))
+        offsets = solver._offsets(offsets, n)
         expected = rescanning_greedy(n, offsets)
         assert core_py.greedy(n, offsets) == expected
         assert lazy_greedy(n, offsets) == expected
@@ -320,9 +320,9 @@ def test_greedy_matches_rescanning_greedy():
     cases += [(n, [0, 11, 15]) for n in (600, 601, 1201)]
     cases += [(n, [0, 1, n // 4]) for n in (97, 400, 401)]
     cases += [(n, [0, 1, n // 9]) for n in (97, 400, 401)]
-    # negative, unreduced and repeated offsets at n >= 400
+    # negative, unreduced and repeated steps at n >= 400
     cases += [(400, [-1, 0, 401, 5, 5]), (1201, [-1207, 3, 3, 2402, -4])]
-    # k >= 256: gains counted target by target, not in byte lanes
+    # hundreds of offsets, so phase 2 counts hundreds of gains per target
     cases += [(700, rng.sample(range(-700, 700), 300)), (600, list(range(0, 600, 2)))]
     # a seeded batch: n in 100..1200, span at most 30
     for _ in range(40):
@@ -330,6 +330,7 @@ def test_greedy_matches_rescanning_greedy():
         offsets = [rng.randint(-span, span) for _ in range(rng.randint(1, 6))]
         cases.append((rng.randint(100, 1200), offsets))
     for n, offsets in cases:
+        offsets = solver._offsets(offsets, n)
         assert core_py.greedy(n, offsets) == lazy_greedy(n, offsets), (n, offsets)
 
 
@@ -341,17 +342,16 @@ def recursive_solve_cover(n, offsets, lb=0):
     """solve_cover as first written: one recursive call per search node,
     stopped once the best cover has at most lb elements."""
     m = len(offsets)
-    distinct = sorted({t % n for t in offsets})
     full = (1 << n) - 1
-    cover = [sum(1 << t for t in distinct)]
-    dom = [sum(1 << (-t % n) for t in distinct)]
+    cover = [sum(1 << t for t in offsets)]
+    dom = [sum(1 << (-t % n) for t in offsets)]
     for table in (cover, dom):
         row = table[0]
         for _ in range(n - 1):
             row = ((row << 1) & full) | (row >> (n - 1))
             table.append(row)
 
-    best_size, best_mask = core_py.greedy(n, distinct)
+    best_size, best_mask = core_py.greedy(n, offsets)
     if best_size <= lb:
         return best_size, best_mask, 1
     explored = 0
@@ -408,13 +408,13 @@ def recursive_solve_cover(n, offsets, lb=0):
 
 
 def small_random_inputs(rng):
-    """2,000 (n, offsets) with n <= 24: negative, unreduced and repeated
-    offsets."""
+    """2,000 (n, offsets) with n <= 24, the kernels' form of negative,
+    unreduced and repeated steps."""
     for _ in range(2000):
         n = rng.randint(1, 24)
         offsets = [rng.randint(-100, 100) for _ in range(rng.randint(1, 6))]
         offsets += rng.sample(offsets, rng.randint(0, len(offsets)))
-        yield n, offsets
+        yield n, solver._offsets(offsets, n)
 
 
 def test_solve_cover_matches_recursive_solve_cover():
@@ -425,19 +425,13 @@ def test_solve_cover_matches_recursive_solve_cover():
     # one level above the leaves, which the pure kernel resolves in place
     for _ in range(150):
         n = rng.randint(25, 32)
-        offsets = [0] + rng.sample(range(1, n), rng.randint(1, 4))
+        offsets = solver._offsets(rng.sample(range(1, n), rng.randint(1, 4)), n)
         assert core_py.solve_cover(n, offsets) == recursive_solve_cover(n, offsets)
     # many offsets, so few targets per node and many dominators per target
     for _ in range(300):
         n = rng.randint(1, 32)
-        offsets = [rng.randint(-100, 100) for _ in range(rng.randint(1, 12))]
+        offsets = solver._offsets([rng.randint(-100, 100) for _ in range(rng.randint(1, 12))], n)
         assert core_py.solve_cover(n, offsets) == recursive_solve_cover(n, offsets)
-    # one distinct residue, so every target has a single dominator, and
-    # still a search past the root
-    for n, offsets, explored in [(5, [0, 0, 0], 4), (6, [0, 0, 3, 3, 3], 3)]:
-        pure = core_py.solve_cover(n, offsets)
-        assert pure[2] == explored
-        assert pure == recursive_solve_cover(n, offsets)
     # sparse 2-step sets, where the targets an excluded vertex covers are
     # far fewer than the uncovered ones
     for n in range(36, 49, 4):
@@ -454,7 +448,7 @@ def test_solve_cover_matches_recursive_solve_cover():
 def test_memo_matches_recursive_solve_cover(monkeypatch, bits):
     # the memo at every child with a gap of 4 or more, from the first node
     # on; 4,096 bits hold four entries at these n, and storing stops
-    # partway through 334 of the searches
+    # partway through 434 of the 2,000 searches without a floor
     monkeypatch.setattr(core_py, "_MEMO_START", 0)
     monkeypatch.setattr(core_py, "_MEMO_BITS", bits)
     for n, offsets in small_random_inputs(random.Random(97531)):
@@ -491,7 +485,7 @@ def test_floor_keeps_size_and_witness():
     rng = random.Random(1729)
     for _ in range(200):
         n = rng.randint(1, 30)
-        offsets = [0] + rng.sample(range(1, max(2, n)), min(n - 1, rng.randint(1, 4)))
+        offsets = solver._offsets(rng.sample(range(1, max(2, n)), min(n - 1, rng.randint(1, 4))), n)
         size, mask, explored = core_py.solve_cover(n, offsets)
         for lb in {0, size // 2, size - 1, size}:
             floored = core_py.solve_cover(n, offsets, lb)
@@ -524,7 +518,7 @@ def stack_depth():
 
 def test_deep_search_ignores_recursion_limit(core_c):
     # gamma = 250 chosen vertices, one search level each, under a limit of 50
-    n, offsets = 1250, [0, 1, 2, 3, -6]
+    n, offsets = 1250, [0, 1, 2, 3, 1244]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 50)
     try:
@@ -534,7 +528,7 @@ def test_deep_search_ignores_recursion_limit(core_c):
         sys.setrecursionlimit(limit)
     size, mask, explored = pure
     assert (size, explored) == (250, 508)
-    assert verify_witness(CirculantInstance(n, frozenset({1, 2, 3, n - 6})),
+    assert verify_witness(CirculantInstance(n, frozenset(offsets[1:])),
                           frozenset(v for v in range(n) if mask >> v & 1))
     assert compiled == pure
 
@@ -571,7 +565,7 @@ def recorded_certify(monkeypatch):
 
 def shared(inst):
     """gamma_shared on inst's modulus and sorted offsets, with no floor."""
-    return gamma_shared(inst.modulus, solver._offsets(inst))
+    return gamma_shared(inst.modulus, solver._offsets(inst.connection, inst.modulus))
 
 
 def test_gamma_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
@@ -729,9 +723,9 @@ def test_kernel_dispatch():
 
 
 WORD_BOUNDARY_CASES = [
-    (n, offsets)
+    (n, solver._offsets(steps, n))
     for n in (63, 64, 65, 127, 128, 129, 191, 192, 193)
-    for offsets in ([0, 1, 2, 3, -6], [0, 1, 2, 7], [0, 1, 5])
+    for steps in ([1, 2, 3, -6], [1, 2, 7], [1, 5])
 ]
 
 
@@ -753,13 +747,6 @@ def test_kernels_agree_bit_for_bit(core_c):
         assert pure == core_c.solve_cover(n, offsets)
         for lb in floors(n, pure[0]):
             assert core_py.solve_cover(n, offsets, lb) == core_c.solve_cover(n, offsets, lb)
-    # offsets outside [0, n), repeated or unsorted reduce as Python's % does
-    for _ in range(100):
-        n = rng.randint(1, 14)
-        offsets = [rng.randint(-200, 200) for _ in range(rng.randint(1, 5))]
-        assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, tuple(offsets))
-    for n, offsets in [(5, [0, 2**70]), (7, [-(2**70), 3])]:
-        assert core_py.solve_cover(n, offsets) == core_c.solve_cover(n, offsets)
     # searches past the root on masks of one to four 64-bit words
     for n, offsets in WORD_BOUNDARY_CASES:
         pure = core_py.solve_cover(n, offsets)
@@ -777,7 +764,7 @@ def test_kernels_agree_bit_for_bit(core_c):
         assert pure == core_c.solve_cover(n, offsets)
     assert pure[2] == 6670
     # a deep search: 250 chosen vertices
-    assert core_py.solve_cover(1250, [0, 1, 2, 3, -6]) == core_c.solve_cover(1250, [0, 1, 2, 3, -6])
+    assert core_py.solve_cover(1250, [0, 1, 2, 3, 1244]) == core_c.solve_cover(1250, [0, 1, 2, 3, 1244])
     # trees that the pure kernel's memo replays and the compiled one walks:
     # {1, 4} at period 60 with its floor, and family_set(4, 7) mod 1200,
     # whose perfect code the greedy bound misses
@@ -808,6 +795,7 @@ SANITIZED_AGREEMENT = """
 import importlib.util, json, random, sys
 sys.path.insert(0, sys.argv[2])
 import domkit._core_py as core_py
+from domkit.solver import _offsets
 spec = importlib.util.spec_from_file_location("domkit._core", sys.argv[1])
 core_c = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(core_c)
@@ -815,7 +803,7 @@ rng = random.Random(24680)
 cases = json.loads(sys.argv[3])
 for _ in range(300):
     n = rng.randint(1, 40)
-    cases.append((n, [rng.randint(-100, 100) for _ in range(rng.randint(1, 5))]))
+    cases.append((n, _offsets([rng.randint(-100, 100) for _ in range(rng.randint(1, 5))], n)))
 for n, offsets in cases:
     pure = core_py.solve_cover(n, offsets)
     assert core_c.solve_cover(n, offsets) == pure, (n, offsets)
@@ -840,7 +828,7 @@ def test_core_c_clean_under_sanitizers(tmp_path):
         tmp_path, "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
         "-fno-omit-frame-pointer", "-g", "-O1",
     )
-    cases = WORD_BOUNDARY_CASES + [(1250, [0, 1, 2, 3, -6]), (8192, [0, 1])]
+    cases = WORD_BOUNDARY_CASES + [(1250, [0, 1, 2, 3, 1244]), (8192, [0, 1])]
     proc = subprocess.run(
         [sys.executable, "-c", SANITIZED_AGREEMENT, str(target), str(SRC), json.dumps(cases)],
         env=dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0"),
@@ -863,3 +851,10 @@ def test_kernel_rejects_bad_input(core_c):
         for lb in (1.0, "2", None):
             with pytest.raises(TypeError):
                 kernel.solve_cover(5, [0, 1], lb)
+        # offsets only as _offsets gives them: strictly ascending in [0, n)
+        for offsets in ([1, 0], [0, 0], [-1, 2], [0, 5]):
+            with pytest.raises(ValueError, match=r"offsets must ascend within \[0, n\)"):
+                kernel.solve_cover(5, offsets)
+        # the compiled kernel reads each offset as a Py_ssize_t first
+        with pytest.raises(ValueError if kernel is core_py else (ValueError, OverflowError)):
+            kernel.solve_cover(5, [0, 2**70])
