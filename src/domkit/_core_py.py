@@ -266,7 +266,7 @@ def greedy(n: int, offsets) -> tuple[int, int]:
     return size, mask | int.from_bytes(late, "little") << lo
 
 
-def solve_cover(n: int, offsets: list[int], lb: int = 0, /) -> tuple[int, int, int]:
+def solve_cover(n: int, offsets: tuple[int, ...], lb: int = 0, /) -> tuple[int, int, int]:
     """Minimum |W|, a witness bitmask, and the node count of the search,
     for offsets strictly ascending in [0, n).  The search stops once its
     best cover has at most lb elements (see the module docstring).

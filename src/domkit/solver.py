@@ -38,6 +38,10 @@ except ImportError:  # extension not built; pure fallback
 # n-by-n bit tables take about n^2 / 4 bytes, 16 MB here
 MAX_MODULUS = 2**13
 
+# residue r is _RESIDUES[r]; bound once, never rebound: _certify decodes
+# every witness from it
+_RESIDUES = tuple(range(MAX_MODULUS))
+
 
 def _check_modulus(n: int) -> None:
     if n > MAX_MODULUS:
@@ -61,15 +65,20 @@ def reduce_mod(steps: DifferenceSet, p: int) -> CirculantInstance:
 
     Distinct steps can collide mod p; the instance keeps the collision
     counts (plus the implicit self-loop at 0) for efficiency checks.
+    While no two steps share a residue, the multiplicity is one count per
+    residue plus one at 0, which is what CirculantInstance builds itself (a
+    step at 0 mod p included); only steps that collide are counted here.
     """
     if p < 1:
         raise ValueError("modulus must be positive")
+    connection = frozenset(t % p for t in steps)
+    if len(connection) == len(steps):
+        return CirculantInstance(p, connection)
     counts: dict[int, int] = {0: 1}
     for t in steps:
         r = t % p
         counts[r] = counts.get(r, 0) + 1
-    connection = frozenset(t % p for t in steps)
-    return CirculantInstance(p, connection, tuple(sorted(counts.items())))
+    return CirculantInstance(p, connection, tuple(counts.items()))
 
 
 def _offsets(elements, n: int) -> tuple[int, ...]:
@@ -100,7 +109,10 @@ def _certify(n: int, offsets: tuple[int, ...], lb: int) -> GammaCertificate:
     negative, size set bits, and its rotations by the offsets cover Z_n
     (model._rotations_cover, as covers_cycle folds it); then gamma must be
     at least lb.  Only a checked mask is decoded, once: bit r of the mask
-    is the reversed binary numeral's byte r, which picks residue r.
+    is the reversed binary numeral's byte r, which picks residue r from
+    the table _RESIDUES.  The check and _check_modulus leave at most
+    n <= MAX_MODULUS selectors, so the table holds every residue picked,
+    and the decode makes no int object of its own.
     """
     _check_modulus(n)
     size, mask, explored = _kernel.solve_cover(n, offsets, lb)
@@ -110,7 +122,7 @@ def _certify(n: int, offsets: tuple[int, ...], lb: int) -> GammaCertificate:
     if size < lb:
         raise ConsistencyError(f"period {n}: gamma {size} is below the floor {lb}")
     selectors = bin(mask)[:1:-1].encode().translate(_ZERO_TO_NUL)
-    return GammaCertificate(size, frozenset(itertools.compress(range(n), selectors)), explored)
+    return GammaCertificate(size, frozenset(itertools.compress(_RESIDUES, selectors)), explored)
 
 
 # gamma_shared keeps gammas until their keys hold this many residues in

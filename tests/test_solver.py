@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from conftest import LDSHARED, SRC, compile_core
@@ -56,6 +57,21 @@ def test_reduce_mod_multiplicity_sums():
         inst = reduce_mod(steps, p)
         assert sum(inst.counts().values()) == len(steps) + 1
         assert set(inst.counts()) == inst.connection | {0}
+
+
+def test_reduce_mod_matches_counted_residues():
+    # the whole record against {0} + S mod p counted directly: no
+    # collision, two steps on one residue, a step at 0 mod p, and p = 1
+    rng = random.Random(2718)
+    cases = [((1, 4), 5), ((1, 6), 5), ((5, 7), 5), ((-3, 2), 1), ((1, 2, 8), 14)]
+    for _ in range(300):
+        steps = tuple(rng.sample([x for x in range(-20, 21) if x], rng.randint(1, 5)))
+        cases.append((steps, rng.randint(1, 12)))
+    for steps, p in cases:
+        conn = frozenset(t % p for t in steps)
+        counts = tuple(sorted(Counter([0] + [t % p for t in steps]).items()))
+        expected = CirculantInstance(p, conn, counts)
+        assert reduce_mod(DifferenceSet(steps), p) == expected, (steps, p)
 
 
 @pytest.mark.parametrize(
@@ -126,8 +142,9 @@ def test_verify_witness():
 @pytest.mark.parametrize("compiled", [False, True], ids=["pure", "compiled"])
 def test_witness_decodes_the_kernel_mask(monkeypatch, core_c, compiled):
     # the witness is the residues of the mask the kernel returned: at the
-    # least moduli, up to MAX_MODULUS and back down.  Z_5 with steps {5},
-    # offsets {0}, has the full mask as its one cover
+    # least moduli, up to MAX_MODULUS and back down.  Z_n with steps {n},
+    # offsets {0}, has the full mask as its one cover: at n = MAX_MODULUS
+    # it picks the last residue of solver's table
     if compiled and core_c is None:
         pytest.skip("no C compiler")
     kernel = core_c if compiled else core_py
@@ -142,10 +159,11 @@ def test_witness_decodes_the_kernel_mask(monkeypatch, core_c, compiled):
     monkeypatch.setattr(solver, "_kernel", kernel)
     monkeypatch.setattr(kernel, "solve_cover", recorded)
     cases = [(n, (1, 2)) for n in (1, 2, 257, 8191, MAX_MODULUS, 5, 3000, 100)]
-    for n, steps in [*cases, (5, (5,))]:
+    for n, steps in [*cases, (MAX_MODULUS, (MAX_MODULUS,)), (5, (5,))]:
         witness = gamma_exact(reduce_mod(DifferenceSet(steps), n)).witness
         assert witness == {i for i in range(n) if masks[-1] >> i & 1}, (n, steps)
-    assert masks[-1] == 0b11111 and witness == set(range(5))
+        if steps == (n,):
+            assert masks[-1] == (1 << n) - 1 and witness == set(range(n)), n
 
 
 # gamma_exact in a fresh interpreter, which imported domkit.solver and
