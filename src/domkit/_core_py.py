@@ -133,33 +133,33 @@ def greedy(n: int, offsets) -> tuple[int, int]:
     The k offsets T ascend strictly within [0, n).  Phase 1 makes the
     picks that have all k targets fresh.  v has gain k iff v is outside
     picks + D, D = T - T, and these picks ascend: each is the lowest
-    vertex above the last pick, base, outside picks + D.  D is symmetric mod n, and c is
-    its largest element up to n / 2, so every element of D is within c
-    of 0.  Hence below limit = n - c no exclusion wraps past n: a vertex
-    v < limit meets a pick p < v only if v - p <= c.  There the picks are
-    first-fit on a window of c + 1 bits, bit i for vertex base + i, set
-    if a pick excludes it: the next pick is base + j, j the lowest clear
-    bit (bit 0, base itself, is always set), and the window becomes
-    window >> j | (D within [0, c]).  The window alone decides what comes
-    next, so once a window repeats, the picks since its first sight
-    repeat with it, and the whole periods that end below limit are
+    vertex above the last pick, base, outside picks + D.  D is symmetric
+    mod n, and c is its largest element up to n / 2, so every element of D
+    is within c of 0.  Hence below limit = n - c no exclusion wraps past
+    n: a vertex v < limit meets a pick p < v only if v - p <= c.  There
+    the picks are first-fit on a window of c + 1 bits, bit i for vertex
+    base + i, set if a pick excludes it: the next pick is base + j, j the
+    lowest clear bit (bit 0, base itself, is always set), and the window
+    becomes window >> j | (D within [0, c]).  The window alone decides
+    what comes next, so once a window repeats, the picks since its first
+    sight repeat with it, and the whole periods that end below limit are
     written at once, as one period's pattern times (2^(reps * step) - 1)
-    // (2^step - 1).  From the last pick below limit, the vertices left
-    to pick from are those outside the window and outside the exclusions
-    of the picks below c, which wrap past 0 to limit and up.  Phase 1
-    steps through them on n - base bits, each pick masking out its own D
+    // (2^step - 1).  From the last pick below limit, the vertices left to
+    pick from are those outside the window and outside the exclusions of
+    the picks below c, which wrap past 0 to limit and up.  Phase 1 steps
+    through them on n - base bits, each pick masking out its own D
     (keep).  When limit holds fewer than 8 windows (c + 1 bits each), the
     window run was measured not to pay, and these steps cover all of Z_n
     from vertex 0.
 
     Phase 2, if targets are left, counts gain[v], the number of v's
-    targets still left, from those targets alone: every vertex with a
-    gain lies at or above lo, the lowest target left less the largest
-    offset, so gains are kept for vertices lo on, counted target by
-    target.  Gains only fall, and top starts at the largest gain there is
-    and drops only once no vertex has gain top.  While top stays, every vertex below the last pick
-    already has a gain below top, so the scan for the next pick resumes
-    there and still finds the lowest vertex with the largest gain.
+    targets still left, from those targets alone: every vertex with a gain
+    lies at or above lo, the lowest target left less the largest offset,
+    so gains are kept for vertices lo on, counted target by target.  Gains
+    only fall, and top starts at the largest gain there is and drops only
+    once no vertex has gain top.  While top stays, every vertex below the
+    last pick already has a gain below top, so the scan for the next pick
+    resumes there and still finds the lowest vertex with the largest gain.
     """
     k = len(offsets)
     full = (1 << n) - 1

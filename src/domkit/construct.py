@@ -81,8 +81,8 @@ def verify_efficient(pset: PeriodicSet, steps: DifferenceSet) -> bool:
 
     Each step is an offset in its own right: two steps congruent mod period
     give two distinct dominators in Z.  So the lift is efficient when it
-    dominates and |residues| * (|steps| + 1) equals the period; steps that
-    collide mod period then leave some residue uncovered.
+    dominates and |residues| times the closed degree |steps| + 1 equals
+    the period; colliding terms of {0} + steps leave a residue uncovered.
     """
     p = pset.period
     return len(pset.residues) * (len(steps) + 1) == p and verify_dominating(pset, steps)

@@ -8,6 +8,7 @@ of the same sets and conversions between the two are lossless.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Collection, Iterable
 from fractions import Fraction
 from itertools import accumulate
@@ -160,46 +161,26 @@ class CirculantInstance(_Record):
     """Circulant digraph on Z_n given by a connection set of residues.
 
     connection may contain 0 when a step offset reduces to 0 mod n.
-    multiplicity counts preimages in S union {0} per residue, stored as
-    sorted (residue, count) pairs; counts sum to |S| + 1 for instances built
-    by reduce_mod.  Only efficiency checks consult it; plain domination
+    closed_degree is |S| + 1, counted before reduction; two terms of
+    {0} + S collide mod n exactly when it exceeds |connection | {0}|.  The
+    default, |connection| + 1, counts a 0 in connection as a second
+    self-loop.  Only efficiency checks consult it; plain domination
     depends on the distinct residues alone.
     """
 
-    __slots__ = __match_args__ = ("modulus", "connection", "multiplicity")
+    __slots__ = __match_args__ = ("modulus", "connection", "closed_degree")
 
-    def __init__(
-        self,
-        modulus: int,
-        connection: frozenset[int],
-        multiplicity: tuple[tuple[int, int], ...] = (),
-    ):
+    def __init__(self, modulus: int, connection: frozenset[int], closed_degree: int | None = None):
         if modulus < 1:
             raise ValueError("modulus must be positive")
         conn = frozenset(connection)
         _check_residues(conn, modulus)
-        mult = multiplicity
-        if not mult:
-            # implicit self-loop contributes one count at residue 0
-            counts = {r: 1 for r in conn}
-            counts[0] = counts.get(0, 0) + 1
-            mult = tuple(sorted(counts.items()))
-        else:
-            mult = tuple(sorted(tuple(pair) for pair in mult))
-            keys = {r for r, _ in mult}
-            if len(keys) != len(mult):
-                raise ValueError("duplicate residue in multiplicity")
-            if any(c < 1 for _, c in mult):
-                raise ValueError("multiplicity counts must be positive")
-            if keys != conn | {0}:
-                raise ValueError("multiplicity keys must be connection plus 0")
+        degree = len(conn) + 1 if closed_degree is None else operator.index(closed_degree)
+        if degree < len(conn | {0}):
+            raise ValueError(f"closed degree {degree} below |connection | {{0}}|")
         _set(self, "modulus", modulus)
         _set(self, "connection", conn)
-        _set(self, "multiplicity", mult)
-
-    def counts(self) -> dict[int, int]:
-        """Multiplicity as a residue -> count mapping."""
-        return dict(self.multiplicity)
+        _set(self, "closed_degree", degree)
 
 
 class Decomposition(_Record):

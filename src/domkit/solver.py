@@ -63,22 +63,14 @@ def kernel_name() -> str:
 def reduce_mod(steps: DifferenceSet, p: int) -> CirculantInstance:
     """Reduce a step set on Z to the circulant instance on Z_p.
 
-    Distinct steps can collide mod p; the instance keeps the collision
-    counts (plus the implicit self-loop at 0) for efficiency checks.
-    While no two steps share a residue, the multiplicity is one count per
-    residue plus one at 0, which is what CirculantInstance builds itself (a
-    step at 0 mod p included); only steps that collide are counted here.
+    Distinct steps can collide mod p, with each other or with the
+    self-loop at 0; the instance keeps the closed degree |S| + 1, counted
+    before reduction, so that efficiency checks see the collisions: there
+    is one exactly when it exceeds |{0} | S mod p|.
     """
     if p < 1:
         raise ValueError("modulus must be positive")
-    connection = frozenset(t % p for t in steps)
-    if len(connection) == len(steps):
-        return CirculantInstance(p, connection)
-    counts: dict[int, int] = {0: 1}
-    for t in steps:
-        r = t % p
-        counts[r] = counts.get(r, 0) + 1
-    return CirculantInstance(p, connection, tuple(counts.items()))
+    return CirculantInstance(p, frozenset(t % p for t in steps), len(steps) + 1)
 
 
 def _offsets(elements, n: int) -> tuple[int, ...]:
@@ -248,17 +240,14 @@ def verify_witness(inst: CirculantInstance, witness: frozenset[int]) -> bool:
 def perfect_code_exists(inst: CirculantInstance) -> frozenset[int] | None:
     """A witness covering every vertex exactly once, or None.
 
-    Counting is with multiplicity: if two steps collide mod n, any chosen
-    vertex covers one target twice and no perfect code can exist.
+    One exists only if the closed degree |S| + 1 equals |{0} | S mod n|,
+    so that no two terms collide mod n and no vertex covers a target
+    twice, and divides n: a perfect code has n / (|S| + 1) vertices.
     """
     n = inst.modulus
     _check_modulus(n)
-    counts = inst.counts()
-    if any(c > 1 for c in counts.values()):
-        return None
-    offsets = sorted(counts)
-    m = len(offsets)
-    if n % m:
+    offsets = _offsets(inst.connection, n)
+    if len(offsets) != inst.closed_degree or n % len(offsets):
         return None
     cover = _cover_rows(n, offsets)
     full = (1 << n) - 1
@@ -266,7 +255,7 @@ def perfect_code_exists(inst: CirculantInstance) -> frozenset[int] | None:
     # depth-first over "which vertex covers the most constrained uncovered
     # target": the one with the fewest vertices still able to cover it,
     # lowest on ties; none left means backtrack, one cannot be beaten.
-    # Smallest vertex first; an explicit stack because the depth is n / m,
+    # Smallest vertex first; an explicit stack because the depth is n / len(offsets),
     # past Python's recursion limit at n = 3000
     stack = [(0, ())]
     while stack:

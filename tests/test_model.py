@@ -34,8 +34,7 @@ RECORDS = [
     (DifferenceSet, {"elements": (-2, 1, 4)}),
     (PeriodicSet, {"period": 14, "residues": frozenset({0, 4, 9, 13})}),
     (BlockStructure, {"sizes": (4, 5, 4, 1)}),
-    (CirculantInstance, {"modulus": 6, "connection": frozenset({1, 2}),
-                         "multiplicity": ((0, 1), (1, 1), (2, 1))}),
+    (CirculantInstance, {"modulus": 6, "connection": frozenset({1, 2}), "closed_degree": 4}),
     (Decomposition, {"d": 4, "s": 8, "sign": "positive", "k": 2, "e": 1}),
     (RatioResult, {"value": Fraction(2, 7), "case": RatioCase.CASE_E_EQ_1, "decomposition": _DEC}),
     (GammaCertificate, {"gamma": 2, "witness": frozenset({0, 3}), "explored": 5}),
@@ -204,10 +203,13 @@ def test_block_density_identity(sizes):
 
 def test_circulant_instance_default_multiplicity():
     inst = CirculantInstance(6, frozenset({1, 2}))
-    assert inst.counts() == {0: 1, 1: 1, 2: 1}
-    # residue 0 in the connection is a second self-loop
+    assert inst.closed_degree == 3
+    assert inst == CirculantInstance(6, frozenset({1, 2}), 3)
+    # residue 0 in the connection is a second self-loop: one more than the
+    # two residues of connection | {0}
     inst = CirculantInstance(6, frozenset({0, 1}))
-    assert inst.counts() == {0: 2, 1: 1}
+    assert inst.closed_degree == 3
+    assert CirculantInstance(1, frozenset()).closed_degree == 1
 
 
 def test_circulant_instance_validation():
@@ -215,10 +217,19 @@ def test_circulant_instance_validation():
         CirculantInstance(0, frozenset())
     with pytest.raises(ValueError):
         CirculantInstance(4, frozenset({4}))
+    # below |connection | {0}|: fewer terms than distinct residues
+    with pytest.raises(ValueError, match="closed degree 2"):
+        CirculantInstance(4, frozenset({1, 2}), 2)
+    with pytest.raises(ValueError, match="closed degree 1"):
+        CirculantInstance(4, frozenset({0, 1}), 1)
     with pytest.raises(ValueError):
-        CirculantInstance(4, frozenset({1}), ((1, 1),))  # missing the 0 key
-    with pytest.raises(ValueError):
-        CirculantInstance(4, frozenset({1}), ((0, 0), (1, 1)))
+        CirculantInstance(4, frozenset({1}), 0)
+    for bad in (2.0, "2", Fraction(2)):
+        with pytest.raises(TypeError):
+            CirculantInstance(4, frozenset({1}), bad)
+    # the least value allowed, with and without 0 in the connection
+    assert CirculantInstance(4, frozenset({0, 1}), 2).closed_degree == 2
+    assert CirculantInstance(4, frozenset({1, 2}), 3).closed_degree == 3
 
 
 def test_decomposition_validation():

@@ -39,3 +39,23 @@ def test_cli_import_leaves_out_slow_stdlib_modules():
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert json.loads(out) == []
+
+
+def test_module_entry_point():
+    # runs src/domkit/__main__.py as `python -m domkit` does; -I keeps an
+    # installed copy and PYTHONPATH off the path
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def run(*argv):
+        code = (
+            f"import runpy, sys; sys.path.insert(0, {str(src)!r}); "
+            f"sys.argv = ['domkit', *{list(argv)!r}]; "
+            "runpy.run_module('domkit', run_name='__main__', alter_sys=True)"
+        )
+        return subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+
+    done = run("ratio", "--d", "4", "--s", "7", "--format", "plain")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1/4\n", "")
+    done = run("gamma", "--n", "0", "--set", "1")
+    assert done.returncode == 2
+    assert done.stdout == ""

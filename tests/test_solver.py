@@ -1,5 +1,6 @@
 import gc
 import heapq
+import itertools
 import json
 import math
 import os
@@ -15,8 +16,9 @@ from conftest import LDSHARED, SRC, compile_core
 
 import domkit._core_py as core_py
 from domkit import solver
+from domkit.construct import verify_efficient
 from domkit.formula import domination_ratio, family_set
-from domkit.model import CirculantInstance, DifferenceSet
+from domkit.model import CirculantInstance, DifferenceSet, PeriodicSet
 from domkit.solver import (
     MAX_MODULUS,
     gamma_bruteforce,
@@ -39,39 +41,53 @@ def random_instance(rng, max_n=18, max_steps=4):
 def test_reduce_mod_examples():
     inst = reduce_mod(DifferenceSet((1, 4)), 5)
     assert inst.connection == frozenset({1, 4})
+    assert inst.closed_degree == 3
     inst = reduce_mod(DifferenceSet((1, 6)), 6)
     assert inst.connection == frozenset({0, 1})
-    assert inst.counts() == {0: 2, 1: 1}
+    assert inst.closed_degree == 3  # 6 collides with the self-loop
     inst = reduce_mod(DifferenceSet((1, 2, 8)), 14)
     assert inst.connection == frozenset({1, 2, 8})
+    assert inst.closed_degree == 4
+    inst = reduce_mod(DifferenceSet((1, 4, 6)), 5)
+    assert inst.connection == frozenset({1, 4})
+    assert inst.closed_degree == 4  # 1 and 6 share a residue
     with pytest.raises(ValueError):
         reduce_mod(DifferenceSet((1,)), 0)
 
 
 def test_reduce_mod_multiplicity_sums():
+    # the closed degree counts every step and the self-loop, whatever
+    # collides, and never falls below the distinct residues it counts
     rng = random.Random(31337)
     for _ in range(200):
         count = rng.randint(1, 5)
         steps = DifferenceSet(tuple(rng.sample([x for x in range(-20, 21) if x], count)))
         p = rng.randint(1, 12)
         inst = reduce_mod(steps, p)
-        assert sum(inst.counts().values()) == len(steps) + 1
-        assert set(inst.counts()) == inst.connection | {0}
+        assert inst.closed_degree == len(steps) + 1
+        assert inst.closed_degree >= len(inst.connection | {0})
 
 
 def test_reduce_mod_matches_counted_residues():
     # the whole record against {0} + S mod p counted directly: no
-    # collision, two steps on one residue, a step at 0 mod p, and p = 1
+    # collision, two steps on one residue, a step at 0 mod p, and p = 1;
+    # the closed degree exceeds the offsets exactly when some residue of
+    # {0} + S mod p is counted twice
     rng = random.Random(2718)
     cases = [((1, 4), 5), ((1, 6), 5), ((5, 7), 5), ((-3, 2), 1), ((1, 2, 8), 14)]
     for _ in range(300):
         steps = tuple(rng.sample([x for x in range(-20, 21) if x], rng.randint(1, 5)))
         cases.append((steps, rng.randint(1, 12)))
+    collided = 0
     for steps, p in cases:
         conn = frozenset(t % p for t in steps)
-        counts = tuple(sorted(Counter([0] + [t % p for t in steps]).items()))
-        expected = CirculantInstance(p, conn, counts)
-        assert reduce_mod(DifferenceSet(steps), p) == expected, (steps, p)
+        inst = reduce_mod(DifferenceSet(steps), p)
+        assert inst == CirculantInstance(p, conn, len(steps) + 1), (steps, p)
+        counts = Counter([0] + [t % p for t in steps])
+        collides = max(counts.values()) > 1
+        assert (inst.closed_degree > len(solver._offsets(conn, p))) is collides, (steps, p)
+        collided += collides
+    assert 0 < collided < len(cases)
 
 
 @pytest.mark.parametrize(
@@ -212,21 +228,47 @@ def test_perfect_code_examples(n, connection, found):
 
 
 def test_perfect_code_witness_is_exact():
+    # each of the terms {0} + S covers on its own, so colliding terms
+    # would count a target twice
     rng = random.Random(8675309)
     hits = 0
     for _ in range(300):
-        inst = random_instance(rng, max_n=16)
+        n = rng.randint(1, 16)
+        steps = rng.sample([x for x in range(-30, 31) if x != 0], rng.randint(1, 4))
+        inst = reduce_mod(DifferenceSet(tuple(steps)), n)
         witness = perfect_code_exists(inst)
         if witness is None:
             continue
         hits += 1
-        counts = {x: 0 for x in range(inst.modulus)}
-        for w in witness:
-            for t, c in inst.counts().items():
-                counts[(w + t) % inst.modulus] += c
-        assert all(c == 1 for c in counts.values())
-        assert len(witness) * sum(inst.counts().values()) == inst.modulus
+        counts = Counter((w + t) % n for w in witness for t in [0, *steps])
+        assert counts == Counter(range(n))
+        assert len(witness) * inst.closed_degree == n
     assert hits > 0
+
+
+def test_perfect_code_agrees_with_verify_efficient():
+    # the solver's efficiency check against construct's, by brute force over
+    # every n / closed_degree-subset of Z_n; steps drawn from a small range
+    # so that many collide mod n
+    rng = random.Random(16180)
+    found = collided = 0
+    for _ in range(250):
+        n = rng.randint(1, 14)
+        count = rng.randint(1, 4)
+        steps = DifferenceSet(tuple(rng.sample([x for x in range(-16, 17) if x], count)))
+        inst = reduce_mod(steps, n)
+        witness = perfect_code_exists(inst)
+        size, rest = divmod(n, inst.closed_degree)
+        efficient = not rest and any(
+            verify_efficient(PeriodicSet(n, frozenset(w)), steps)
+            for w in itertools.combinations(range(n), size)
+        )
+        assert (witness is not None) is efficient, (sorted(steps), n)
+        if witness is not None:
+            assert verify_efficient(PeriodicSet(n, witness), steps)
+        found += witness is not None
+        collided += inst.closed_degree > len(inst.connection | {0})
+    assert found and collided
 
 
 def test_perfect_code_is_minimum_dominating():
