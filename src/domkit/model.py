@@ -121,13 +121,15 @@ class DifferenceSet(_Record):
 class PeriodicSet(_Record):
     """Subset of Z of the form residues + period * Z.
 
-    residues live in [0, period); the empty residue set is allowed (it is
-    simply never dominating).
+    period is an int (operator.index, so a float or a str is a
+    TypeError); residues live in [0, period); the empty residue set is
+    allowed (it is simply never dominating).
     """
 
     __slots__ = __match_args__ = ("period", "residues")
 
     def __init__(self, period: int, residues: frozenset[int]):
+        period = operator.index(period)
         if period < 1:
             raise ValueError("period must be positive")
         res = frozenset(residues)
@@ -160,8 +162,9 @@ class BlockStructure(_Record):
 class CirculantInstance(_Record):
     """Circulant digraph on Z_n given by a connection set of residues.
 
-    connection may contain 0 when a step offset reduces to 0 mod n.
-    closed_degree is |S| + 1, counted before reduction; two terms of
+    modulus is an int (operator.index, so a float or a str is a
+    TypeError).  connection may contain 0 when a step offset reduces to 0
+    mod n.  closed_degree is |S| + 1, counted before reduction; two terms of
     {0} + S collide mod n exactly when it exceeds |connection | {0}|.  The
     default, |connection| + 1, counts a 0 in connection as a second
     self-loop.  Only efficiency checks consult it; plain domination
@@ -171,6 +174,7 @@ class CirculantInstance(_Record):
     __slots__ = __match_args__ = ("modulus", "connection", "closed_degree")
 
     def __init__(self, modulus: int, connection: frozenset[int], closed_degree: int | None = None):
+        modulus = operator.index(modulus)
         if modulus < 1:
             raise ValueError("modulus must be positive")
         conn = frozenset(connection)

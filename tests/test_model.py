@@ -149,6 +149,11 @@ def test_periodic_set_validation():
         PeriodicSet(5, frozenset({0, 5}))
     with pytest.raises(ValueError, match=r"residue -1 outside \[0, 5\)"):
         PeriodicSet(5, frozenset({-1, 2}))
+    # the period is an int at construction, so no later check meets a float
+    for bad in (4.5, 5.0, "5", Fraction(5), None):
+        with pytest.raises(TypeError):
+            PeriodicSet(bad, frozenset({0}))
+    assert type(PeriodicSet(True, frozenset({0})).period) is int
 
 
 def test_periodic_set_json_roundtrip():
@@ -227,6 +232,11 @@ def test_circulant_instance_validation():
     for bad in (2.0, "2", Fraction(2)):
         with pytest.raises(TypeError):
             CirculantInstance(4, frozenset({1}), bad)
+    # so is the modulus: 6.0 used to build, then fail inside the kernel
+    for bad in (6.0, "6", Fraction(6), None):
+        with pytest.raises(TypeError):
+            CirculantInstance(bad, frozenset({1}))
+    assert type(CirculantInstance(True, frozenset()).modulus) is int
     # the least value allowed, with and without 0 in the connection
     assert CirculantInstance(4, frozenset({0, 1}), 2).closed_degree == 2
     assert CirculantInstance(4, frozenset({1, 2}), 3).closed_degree == 3

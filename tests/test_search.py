@@ -81,6 +81,32 @@ def assert_gamma_exact_report(steps, cap, report):
     assert report.best_witness == PeriodicSet(best_p, certs[best_p].witness)
 
 
+@pytest.mark.parametrize("d, s", [(3, -14), (4, 17)])
+def test_search_ratio_solves_wide_periods_at_narrow_images(monkeypatch, empty_caches, d, s):
+    # gamma_shared solves a period whose offsets span more than twice their
+    # count at a narrower unit-multiplier image; the rows are still
+    # gamma_exact's on the own offsets, and the witness is solved for them
+    steps, cap = family_set(d, s), 32
+    solved = []
+    certify = solver._certify
+
+    def recorded(n, offsets, lb):
+        solved.append((n, offsets))
+        return certify(n, offsets, lb)
+
+    monkeypatch.setattr(solver, "_certify", recorded)
+    monkeypatch.setattr(search, "_certify", recorded)
+    report = search_ratio(steps, cap)
+    own = {p: solver._offsets(steps.elements, p) for p in range(1, cap + 1)}
+    relabelled = [(n, offsets) for n, offsets in solved[:-1] if offsets != own[n]]
+    assert len(relabelled) >= 5
+    for n, offsets in relabelled:
+        assert solver._span(n, own[n]) > 2 * len(own[n])
+        assert solver._span(n, offsets) <= solver._span(n, own[n])
+    assert solved[-1] == (report.best_period, own[report.best_period])
+    assert_gamma_exact_report(steps, cap, report)
+
+
 def test_search_ratio_builds_no_instance(monkeypatch, empty_caches):
     # the scan hands each period's sorted offsets to the solver as a tuple
     scans = [(family_set(3, -14), 32), (DifferenceSet((2, 7)), 24)]

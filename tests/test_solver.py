@@ -741,6 +741,117 @@ def test_class_key_is_least_mirror_image():
     assert min(cases.values()) >= 20
 
 
+def narrow_oracle(n, offsets):
+    """_narrow by brute force: the least (span, sorted tuple) over the
+    images +-u*x + c mod n, u the inverse of the difference of a cyclically
+    adjacent pair, that start at 0 and end at their span, no wider than the
+    offsets; None if there is none."""
+    ends = offsets[1:] + (offsets[0] + n,)
+    units = [pow(b - a, -1, n) for a, b in zip(offsets, ends) if math.gcd(b - a, n) == 1]
+    candidates = []
+    for u in units:
+        for c in range(n):
+            for sign in (1, -1):
+                image = sorted((sign * u * x + c) % n for x in offsets)
+                span = n - max(y - x for x, y in zip(image, image[1:] + [image[0] + n]))
+                if image[0] == 0 and image[-1] == span <= span_of(n, offsets):
+                    candidates.append((span, tuple(image)))
+    return min(candidates)[1] if candidates else None
+
+
+def span_of(n, offsets):
+    """Length of the shortest arc of Z_n holding the offsets, by brute force."""
+    return min(max((x - c) % n for x in offsets) for c in offsets)
+
+
+def test_narrow_is_the_least_adjacent_pair_image():
+    rng = random.Random(28657)
+    cases = Counter()
+    for _ in range(500):
+        n = rng.randint(1, 24)
+        offsets = tuple(sorted({0, *rng.sample(range(1, n), rng.randint(0, min(n - 1, 6)))}))
+        narrow = solver._narrow(n, offsets)
+        assert narrow == narrow_oracle(n, offsets)
+        if narrow is None:  # solved at the offsets themselves
+            ends = offsets[1:] + (n,)
+            units = [b - a for a, b in zip(offsets, ends) if math.gcd(b - a, n) == 1]
+            cases["all images wider" if units else "no unit"] += 1
+            continue
+        # u * (T - a) mod n for a unit u and some a in T, so one class under units
+        assert any(
+            narrow == tuple(sorted(u * (t - a) % n for t in offsets))
+            for u in range(n) if math.gcd(u, n) == 1
+            for a in offsets
+        )
+        assert solver._span(n, narrow) == span_of(n, narrow) <= span_of(n, offsets)
+        # the same for every image under x -> +-x + c, with 0 in it or not
+        for c in range(n):
+            for sign in (1, -1):
+                image = tuple(sorted((sign * x + c) % n for x in offsets))
+                assert solver._narrow(n, image) == narrow
+                assert solver._span(n, image) == solver._span(n, offsets)
+        inst = CirculantInstance(n, frozenset(offsets))
+        if math.comb(n, gamma_exact(inst).gamma) <= 20_000:
+            assert gamma_bruteforce(CirculantInstance(n, frozenset(narrow))) == gamma_bruteforce(inst)
+            cases["brute force"] += 1
+        cases["narrower"] += solver._span(n, narrow) < solver._span(n, offsets)
+        cases["wide"] += solver._span(n, offsets) > 2 * len(offsets)
+    # every image wider than the offsets is rare: test_narrow_examples has one
+    assert cases["all images wider"] >= 1, cases
+    assert min(cases[c] for c in ("no unit", "brute force", "narrower", "wide")) >= 20, cases
+
+
+def test_narrow_examples():
+    # x -> 3 - 2x: the scan's Z_31 with {0, 1, 17} (span 15) at span 3
+    assert solver._narrow(31, (0, 1, 17)) == (0, 1, 3)
+    assert solver._span(31, (0, 1, 17)) == 15
+    assert solver._narrow(10, (0, 2, 5, 7)) == (0, 1, 5, 6)
+    # no adjacent difference is a unit
+    for n, offsets in [(12, (0, 2, 4)), (12, (0, 3, 6, 9)), (30, (0, 6, 10, 15)), (7, (0,))]:
+        assert solver._narrow(n, offsets) is None
+    # only 2 is: x -> 11x has span 13 > 12
+    assert solver._span(21, (0, 9, 16, 18)) == 12
+    assert solver._narrow(21, (0, 9, 16, 18)) is None
+    assert solver._narrow(1, (0,)) == (0,)
+
+
+def test_gamma_shared_solves_a_wide_class_at_its_narrow_image(monkeypatch, empty_caches):
+    solved = []
+    certify = solver._certify
+
+    def recorded(n, offsets, lb):
+        solved.append((n, offsets, lb))
+        return certify(n, offsets, lb)
+
+    gammas = {
+        (n, offsets): gamma_exact(CirculantInstance(n, frozenset(offsets))).gamma
+        for n, offsets in [(31, (0, 1, 17)), (20, (0, 1, 5)), (30, (0, 6, 10, 15))]
+    }
+    monkeypatch.setattr(solver, "_certify", recorded)
+    # span 15 > 2 * 3: the floor 11 holds for the whole class
+    assert gamma_shared(31, (0, 1, 17), 11) == gammas[(31, (0, 1, 17))]
+    assert solved == [(31, (0, 1, 3), 11)]
+    least = solver._class_key(31, (0, 1, 17))
+    assert least != (0, 1, 3)
+    assert list(solver._gamma_cache) == [(31, (0, 1, 3)), (31, least), (31, (0, 1, 17))]
+    # another class with the same narrow image is served from it, and keeps
+    # its class key
+    other = next(
+        image for u in range(2, 31)
+        if solver._narrow(31, image := tuple(sorted(u * x % 31 for x in (0, 1, 3)))) == (0, 1, 3)
+        and solver._class_key(31, image) != least and solver._span(31, image) > 6
+    )
+    assert gamma_shared(31, other) == solver._gamma_cache[(31, (0, 1, 3))]
+    assert len(solved) == 1
+    assert (31, solver._class_key(31, other)) in solver._gamma_cache
+    # offsets of span at most 2k are solved as they are
+    assert gamma_shared(20, (0, 1, 5)) == gammas[(20, (0, 1, 5))]
+    assert solved[1:] == [(20, (0, 1, 5), 0)]
+    # wide offsets with no adjacent unit difference too
+    assert gamma_shared(30, (0, 6, 10, 15)) == gammas[(30, (0, 6, 10, 15))]
+    assert solved[2:] == [(30, (0, 6, 10, 15), 0)]
+
+
 def affine_image(inst, u, y):
     """inst with each offset t replaced by u * (t - y) mod n."""
     n = inst.modulus
@@ -768,7 +879,10 @@ def test_gamma_shared_across_affine_images(monkeypatch, empty_caches):
 
 
 def test_gamma_exact_computes_no_class_key(monkeypatch, empty_caches):
+    # nor a narrow image: it solves the caller's own offsets, so its
+    # witness and node count are theirs
     monkeypatch.setattr(solver, "_class_key", refuse)
+    monkeypatch.setattr(solver, "_narrow", refuse)
     for n, steps, gamma in [(14, (1, 2, 8), 4), (30, (1, 2, -14), 8), (25, (3,), 13)]:
         inst = reduce_mod(DifferenceSet(steps), n)
         cert = gamma_exact(inst)
