@@ -220,14 +220,18 @@ def density(pset: PeriodicSet) -> Fraction:
     return Fraction(len(pset.residues), pset.period)
 
 
+def _gaps(n: int, residues) -> tuple[int, ...]:
+    """Cyclic gap sequence of distinct residues of Z_n in ascending order
+    (a nonempty list or tuple): each residue's distance to the next, and
+    the last one's to the first plus n."""
+    return (*map(operator.sub, residues[1:], residues), residues[0] + n - residues[-1])
+
+
 def blocks_of(pset: PeriodicSet) -> BlockStructure:
     """Cyclic gap sequence of a periodic set, starting at its least residue."""
     if not pset.residues:
         raise ValueError("no blocks: empty dominating set")
-    res = sorted(pset.residues)
-    gaps = [res[i + 1] - res[i] for i in range(len(res) - 1)]
-    gaps.append(pset.period - res[-1] + res[0])
-    return BlockStructure(tuple(gaps))
+    return BlockStructure(_gaps(pset.period, sorted(pset.residues)))
 
 
 def block_to_periodic(blocks: BlockStructure) -> PeriodicSet:

@@ -92,13 +92,13 @@ def search_ratio(steps: DifferenceSet, max_period: int, jobs: int = 1) -> Search
     Each period's gamma comes from gamma_shared, so a quotient that
     x -> +-x + a maps onto one solved earlier in the process is not solved
     again; within one scan every modulus differs, so such hits come from
-    earlier scans.  A period whose offsets span more than twice their
-    count is solved at a narrower image under a unit multiplier, which
-    has the same gamma, and the floor below holds for it too.  The best
-    period is the least gamma / p, then the least p.  The witness is
-    always solved for best_period's own offsets, and its gamma must be
-    the scan's; _certify has checked that it covers {0} | steps mod
-    best_period, which is its lift dominating Z.
+    earlier scans.  Each period is solved at its key (solver._key), an
+    image of its offsets under a unit multiplier that lies in a short
+    arc, which has the same gamma, and the floor below holds for it too.
+    The best period is the least gamma / p, then the least p.  The
+    witness is always solved for best_period's own offsets, and its gamma
+    must be the scan's; _certify has checked that it covers {0} | steps
+    mod best_period, which is its lift dominating Z.
 
     For a family member (_family_ratio), the kernel stops at the floor
     ceil(p * rho) at period p: any cover of Z_p lifts to a periodic

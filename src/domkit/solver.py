@@ -6,11 +6,11 @@ pure-Python twin (domkit._core_py).  gamma_bruteforce is a
 deliberately naive oracle that shares no search logic with the kernel:
 it tries every subset in increasing cardinality order.  gamma_shared
 serves the period scan: it keeps gamma alone, per class of instances
-that a map x -> +-x + a carries onto each other, under the class key and
-under each offsets tuple met, so that a repeated call is one dict probe,
-and solves a class whose offsets are spread wide at a narrower image
-under a unit multiplier, which has the same gamma and usually a smaller
-search tree.
+that a map x -> +-x + a carries onto each other, under one key per
+class, _key, and under each offsets tuple met, so that a repeated call
+is one dict probe.  It solves each class at its key, an image under a
+unit multiplier that lies in a short arc, which has the same gamma and
+usually a smaller search tree.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .model import (
     ConsistencyError,
     DifferenceSet,
     _check_residues,
+    _gaps,
     _Record,
     _rotations_cover,
     covers_cycle,
@@ -126,96 +127,58 @@ def _certify(n: int, offsets: tuple[int, ...], lb: int) -> GammaCertificate:
 # scan round to period 32 keeps ~1,300 keys of at most 5
 MAX_CACHED_RESIDUES = 2**20
 
-# (n, T) -> gamma of Z_n with offsets T, for sorted offsets T: each class
-# key, each _narrow image solved, and each offsets tuple a call met that is
-# not its class key
+# (n, T) -> gamma of Z_n with offsets T, for sorted offsets T: each _key
+# solved, and each offsets tuple a call met that is not its key
 _gamma_cache: dict[tuple[int, tuple[int, ...]], int] = {}
 _cached_residues = 0  # residues of the offsets tuples in _gamma_cache's keys
 
 
-def _class_key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
-    """Least sorted image of the offsets T, as _offsets gives them, under
-    x -> +-x + a mod n.
+def _key(n: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
+    """The key of the offsets T, distinct residues in ascending order as
+    _offsets gives them (0 need not be one): one image of T per class
+    under x -> +-x + a, at which gamma_shared solves and keeps the class.
+
+    The candidates are T's own cyclic gap sequence and, if T is wide (its
+    span, n minus the largest gap, exceeds 2k for k offsets), the gap
+    sequence of T * d^-1 for each adjacent difference d that is a unit
+    other than +-1.  Of the candidates of least span, each is read after a
+    largest gap, forwards and backwards, and the least reading summed from
+    0 is the key: a sorted tuple from 0 to that span.  It is u * (T - t)
+    mod n for a unit u and some t in T, and a unit-affine map carries a
+    cover D + T = Z_n onto uD + (uT + c) = Z_n, so gamma is the same.
+    x -> +-x + c keeps the span and the adjacent differences, and turns
+    each candidate's gaps into a rotation of them or of their reverse, so
+    every member of a class gets the same key.  The kernel branches on the
+    lowest uncovered target, so offsets in a short arc keep its tree small.
 
     Sound on that form only: the differences of unsorted offsets are not
     T's cyclic gap sequence.
-
-    If D + T covers Z_n, so does +-D + (+-T + a): gamma is the same
-    across the class.  The images that start at 0 are the partial sums of
-    the rotations of T's cyclic gap sequence, and of its reverse for -T;
-    they order as those rotations do, so the least starts at a least gap.
-    Read from gap i of the doubled sequence, forwards and backwards.
-
-    gamma_shared keeps every class it meets under this key.  The key says
-    nothing of the kernel's cost: gamma_shared solves a wide class at its
-    _narrow image, an image under a unit multiplier that may lie outside
-    the class.
     """
-    gaps = (*map(int.__sub__, offsets[1:], offsets), offsets[0] + n - offsets[-1])
+    gaps = _gaps(n, offsets)
     k = len(gaps)
-    doubled = gaps * 2
-    low = min(gaps)
-    i = gaps.index(low)
-    best = min(doubled[i : i + k], doubled[i + k : i : -1])
-    for _ in range(1, gaps.count(low)):
-        i = gaps.index(low, i + 1)
-        best = min(best, doubled[i : i + k], doubled[i + k : i : -1])
-    return tuple(itertools.accumulate(best[:-1], initial=0))
-
-
-def _narrow(n: int, offsets: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The narrowest image of the offsets T, distinct residues in
-    ascending order (0 need not be one), under the maps
-    x -> (x - a) * (b - a)^-1 mod n that send a cyclically adjacent pair
-    (a, b) to 0 and 1; None if no adjacent difference b - a is a unit, or
-    if every such image is wider than T.
-
-    Each image is rotated so that a largest cyclic gap wraps, which puts
-    its least element at 0, and mirrored; the result is the least
-    candidate by span (n minus the largest gap), then as a sorted tuple.
-    It is u * (T - t) mod n for a unit u and some t in T, and a
-    unit-affine map carries a cover D + T = Z_n onto uD + (uT + c) = Z_n,
-    so gamma is the same.  Pairs of one difference give translates of one
-    image, so each difference is mapped once.  x -> +-x + c keeps the
-    adjacent differences, so every member of one _class_key class gets
-    the same result.
-    """
-    gaps = (*map(int.__sub__, offsets[1:], offsets), offsets[0] + n - offsets[-1])
-    # the cyclic gap sequences of the images of least span, at most T's
-    best_span, kept = n - max(gaps), []
-    for d in set(gaps):
-        if math.gcd(d, n) != 1:
-            continue
-        if d == 1 or d == n - 1:
-            image_gaps = gaps  # x -> +-x + c: T's own gaps, up to order
-        else:
+    best_span, kept = n - max(gaps), [gaps]
+    if best_span > 2 * k:
+        for d in set(gaps):
+            if d == 1 or d == n - 1 or math.gcd(d, n) != 1:
+                continue  # +-1 gives T's own gaps, up to order
             u = pow(d, -1, n)
-            image = sorted([x * u % n for x in offsets])
-            image_gaps = (*map(int.__sub__, image[1:], image), image[0] + n - image[-1])
-        span = n - max(image_gaps)
-        if span < best_span:
-            best_span, kept = span, [image_gaps]
-        elif span == best_span:
-            kept.append(image_gaps)
-    # a candidate is read off the gaps after a largest one, forwards or
-    # backwards; they order as its partial sums do
-    wrap, k = n - best_span, len(offsets)
-    candidates = []
+            image_gaps = _gaps(n, sorted([x * u % n for x in offsets]))
+            span = n - max(image_gaps)
+            if span < best_span:
+                best_span, kept = span, [image_gaps]
+            elif span == best_span:
+                kept.append(image_gaps)
+    # the gaps after a largest one, which wraps, order as their partial sums
+    wrap = n - best_span
+    readings = []
     for image_gaps in kept:
         doubled = image_gaps * 2
         i = -1
         for _ in range(image_gaps.count(wrap)):
             i = image_gaps.index(wrap, i + 1)
             forward = doubled[i + 1 : i + k]
-            candidates += (forward, forward[::-1])
-    return tuple(itertools.accumulate(min(candidates), initial=0)) if candidates else None
-
-
-def _span(n: int, offsets: tuple[int, ...]) -> int:
-    """n minus the largest cyclic gap of the offsets, distinct residues in
-    ascending order: the length of the shortest arc of Z_n that holds
-    them all."""
-    return n - max(map(int.__sub__, offsets[1:] + (offsets[0] + n,), offsets))
+            readings += (forward, forward[::-1])
+    return tuple(itertools.accumulate(min(readings), initial=0))
 
 
 def _keep(key: tuple[int, tuple[int, ...]], gamma: int) -> None:
@@ -232,43 +195,28 @@ def _keep(key: tuple[int, tuple[int, ...]], gamma: int) -> None:
 
 def gamma_shared(n: int, offsets: tuple[int, ...], lb: int = 0) -> int:
     """gamma of Z_n with the offsets, shared across its class under
-    x -> +-x + a, and solved at a narrower unit-multiplier image when the
-    offsets are wide.
+    x -> +-x + a and solved at the class's _key.
 
-    The offsets are as _offsets gives them, which _certify, _class_key and
-    _narrow rely on.  Every key of the cache is (n, T) with T an image of
-    the offsets whose gamma it holds under some x -> u*x + a, u a unit,
-    so equal keys mean equal gamma.  The offsets themselves are probed
-    first, and a hit computes no class key.  On a miss, (n, class key) is
-    probed.  A class met for the first time is solved with the kernel's
-    floor lb, which must be a proven lower bound on gamma of the class,
-    and kept under its class key.  It is solved for these offsets, unless
-    they are wide: their span, n minus the largest cyclic gap, exceeds
-    2k for k offsets, and _narrow gives an image.  Then (n, image) is
-    probed, and solved and kept on a miss: the kernel branches on the
-    lowest uncovered target, so offsets in a short arc keep its tree
-    small.  Offsets that are not
-    their class key are kept too, so that they hit next time.  The keys
-    hold up to MAX_CACHED_RESIDUES residues in all.  No witness is kept:
-    one dominates only the offsets it was solved for.
+    The offsets are as _offsets gives them, which _certify and _key rely
+    on.  Every key of the cache is (n, T) with T an image of the offsets
+    whose gamma it holds under some x -> u*x + a, u a unit, so equal keys
+    mean equal gamma.  The offsets themselves are probed first, and a hit
+    computes no key.  On a miss, (n, _key) is probed.  A class met for the
+    first time is solved at its key with the kernel's floor lb, which must
+    be a proven lower bound on gamma of the class, and kept under its key.
+    Offsets that are not their key are kept too, so that they hit next
+    time.  The keys hold up to MAX_CACHED_RESIDUES residues in all.  No
+    witness is kept: one dominates only the offsets it was solved for.
     """
     gamma = _gamma_cache.get((n, offsets))
     if gamma is not None:
         return gamma
-    least = _class_key(n, offsets)
-    gamma = _gamma_cache.get((n, least))
+    key = _key(n, offsets)
+    gamma = _gamma_cache.get((n, key))
     if gamma is None:
-        narrow = _narrow(n, offsets) if _span(n, offsets) > 2 * len(offsets) else None
-        if narrow is None:
-            gamma = _certify(n, offsets, lb).gamma
-        else:
-            gamma = _gamma_cache.get((n, narrow))
-            if gamma is None:
-                gamma = _certify(n, narrow, lb).gamma
-                if narrow != least:
-                    _keep((n, narrow), gamma)
-        _keep((n, least), gamma)
-    if least != offsets:
+        gamma = _certify(n, key, lb).gamma
+        _keep((n, key), gamma)
+    if key != offsets:
         _keep((n, offsets), gamma)
     return gamma
 

@@ -83,9 +83,10 @@ def assert_gamma_exact_report(steps, cap, report):
 
 @pytest.mark.parametrize("d, s", [(3, -14), (4, 17)])
 def test_search_ratio_solves_wide_periods_at_narrow_images(monkeypatch, empty_caches, d, s):
-    # gamma_shared solves a period whose offsets span more than twice their
-    # count at a narrower unit-multiplier image; the rows are still
-    # gamma_exact's on the own offsets, and the witness is solved for them
+    # gamma_shared solves each period at its _key, which for offsets that
+    # span more than twice their count is often a narrower unit-multiplier
+    # image; the rows are still gamma_exact's on the own offsets, and the
+    # witness is solved for them
     steps, cap = family_set(d, s), 32
     solved = []
     certify = solver._certify
@@ -94,15 +95,22 @@ def test_search_ratio_solves_wide_periods_at_narrow_images(monkeypatch, empty_ca
         solved.append((n, offsets))
         return certify(n, offsets, lb)
 
+    def span(n, offsets):
+        return n - max(model._gaps(n, offsets))
+
     monkeypatch.setattr(solver, "_certify", recorded)
     monkeypatch.setattr(search, "_certify", recorded)
     report = search_ratio(steps, cap)
     own = {p: solver._offsets(steps.elements, p) for p in range(1, cap + 1)}
-    relabelled = [(n, offsets) for n, offsets in solved[:-1] if offsets != own[n]]
-    assert len(relabelled) >= 5
-    for n, offsets in relabelled:
-        assert solver._span(n, own[n]) > 2 * len(own[n])
-        assert solver._span(n, offsets) <= solver._span(n, own[n])
+    assert [n for n, _ in solved[:-1]] == list(range(1, cap + 1))
+    narrowed = 0
+    for n, offsets in solved[:-1]:
+        assert offsets == solver._key(n, own[n])
+        assert span(n, offsets) <= span(n, own[n])
+        if span(n, offsets) < span(n, own[n]):
+            assert span(n, own[n]) > 2 * len(own[n])
+            narrowed += 1
+    assert narrowed >= 5
     assert solved[-1] == (report.best_period, own[report.best_period])
     assert_gamma_exact_report(steps, cap, report)
 
@@ -122,7 +130,7 @@ def test_search_ratio_builds_no_instance(monkeypatch, empty_caches):
 def test_search_ratio_is_the_same_cold_and_warm(monkeypatch, empty_caches):
     # members d 3..5, |s| <= 6, d by d as the scan benchmark runs them: one
     # warm cache, whose hits come from earlier members under their own
-    # offsets or their class keys, gives the reports of an empty one
+    # offsets or their keys, gives the reports of an empty one
     members = [(d, s) for d in (3, 4, 5) for s in range(-6, 7) if not 0 <= s <= d - 2]
     solved = []
     certify = solver._certify

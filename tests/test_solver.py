@@ -19,6 +19,7 @@ from domkit import solver
 from domkit.construct import verify_efficient
 from domkit.formula import domination_ratio, family_set
 from domkit.model import CirculantInstance, DifferenceSet, PeriodicSet
+from domkit.search import search_ratio
 from domkit.solver import (
     MAX_MODULUS,
     gamma_bruteforce,
@@ -629,7 +630,7 @@ def shared(inst):
 
 
 def test_gamma_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
-    # the bound counts class-key residues: (0, 1) holds 2, (0, 1, 3) holds 3
+    # the bound counts key residues: (0, 1) holds 2, (0, 1, 3) holds 3
     monkeypatch.setattr(solver, "MAX_CACHED_RESIDUES", 7)
     insts = [reduce_mod(DifferenceSet((1,) if n % 2 else (1, 3)), n) for n in range(10, 20)]
     gammas = [shared(inst) for inst in insts]
@@ -647,7 +648,7 @@ def test_gamma_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
 def test_class_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
     # the cache is keyed by class: an evicted class is solved again for the
     # member that asks next, and then serves the other members.  A member
-    # that is not its class key is kept under its own offsets too; the
+    # that is not its key is kept under its own offsets too; the
     # bound counts the residues of every key, and the oldest go first
     monkeypatch.setattr(solver, "MAX_CACHED_RESIDUES", 6)
     insts = [reduce_mod(DifferenceSet((1,)), n) for n in range(10, 20)]
@@ -659,7 +660,7 @@ def test_class_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
     mirror = reduce_mod(DifferenceSet((-1,)), 10)  # {0, -1}, in the class of {0, 1}
     assert shared(mirror) == 5
     assert solved == [10]
-    # the class key went in first, then the mirror's own offsets
+    # the key went in first, then the mirror's own offsets
     assert list(solver._gamma_cache.items()) == [
         ((19, (0, 1)), 10),
         ((10, (0, 1)), 5),
@@ -670,7 +671,7 @@ def test_class_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
     assert shared(insts[0]) == shared(mirror) == 5
     # hits move nothing
     assert list(solver._gamma_cache) == [(19, (0, 1)), (10, (0, 1)), (10, (0, 9))]
-    # a class key hit keeps the offsets, which can push out the class key
+    # a key hit keeps the offsets, which can push out the key
     assert shared(reduce_mod(DifferenceSet((-1,)), 19)) == 10
     assert list(solver._gamma_cache) == [(10, (0, 1)), (10, (0, 9)), (19, (0, 18))]
     assert solver._cached_residues == sum(len(key) for _, key in solver._gamma_cache) == 6
@@ -678,22 +679,22 @@ def test_class_cache_drops_oldest_past_bound(monkeypatch, empty_caches):
 
 def test_gamma_shared_probes_the_offsets_before_the_class_key(monkeypatch, empty_caches):
     keyed = []
-    class_key = solver._class_key
+    key = solver._key
 
     def counted(n, offsets):
         keyed.append((n, offsets))
-        return class_key(n, offsets)
+        return key(n, offsets)
 
-    monkeypatch.setattr(solver, "_class_key", counted)
-    # {0, 9} is not its class key {0, 1}: the first call keys, the next does not
+    monkeypatch.setattr(solver, "_key", counted)
+    # {0, 9} is not its key {0, 1}: the first call keys, the next does not
     assert gamma_shared(10, (0, 9)) == 5
     assert keyed == [(10, (0, 9))]
     assert gamma_shared(10, (0, 9)) == 5
-    # the class key itself is held, so its offsets key nothing either
+    # the key itself is held, so its offsets key nothing either
     assert gamma_shared(10, (0, 1)) == 5
     assert keyed == [(10, (0, 9))]
     assert solver._gamma_cache == {(10, (0, 1)): 5, (10, (0, 9)): 5}
-    # a class key met first keys once, and is stored once
+    # a key met first keys once, and is stored once
     assert gamma_shared(14, (0, 1, 3)) == 6
     assert keyed[1:] == [(14, (0, 1, 3))]
     assert (14, (0, 1, 3)) in solver._gamma_cache
@@ -712,51 +713,9 @@ def test_gamma_shared_probes_the_offsets_before_the_class_key(monkeypatch, empty
         inst = random_instance(rng, max_n=32)
         shared(inst)
         shared(affine_image(inst, rng.choice((1, -1)), rng.choice(sorted(inst.connection | {0}))))
-    assert any(class_key(n, offsets) != offsets for n, offsets in solver._gamma_cache)
+    assert any(key(n, offsets) != offsets for n, offsets in solver._gamma_cache)
     for (n, offsets), gamma in solver._gamma_cache.items():
         assert gamma == gamma_exact(CirculantInstance(n, frozenset(offsets))).gamma
-
-
-def test_class_key_is_least_mirror_image():
-    # up to 13 offsets: random ones, and unions of cosets of a subgroup, whose gap
-    # sequences repeat, so that several rotations start at the least gap
-    rng = random.Random(4181)
-    cases = {"13 offsets": 0, "tied least gaps": 0}
-    for i in range(900):
-        n = rng.randint(1, 64)
-        if i % 3:
-            offsets = {0, *rng.sample(range(1, n), rng.randint(0, min(n - 1, 12)))}
-        else:  # n // q offsets in each coset, 0's coset and at most 13 // (n // q) in all
-            q = rng.choice([q for q in range(1, n + 1) if n % q == 0 and n // q <= 13])
-            cosets = [0, *rng.sample(range(1, q), rng.randint(0, min(q, 13 // (n // q)) - 1))]
-            offsets = {c + j * q for c in cosets for j in range(n // q)}
-        offsets = tuple(sorted(offsets))
-        least = min(
-            tuple(sorted((u * t + a) % n for t in offsets)) for u in (1, -1) for a in range(n)
-        )
-        assert solver._class_key(n, offsets) == least
-        gaps = [b - a for a, b in zip(offsets, offsets[1:] + (n,))]
-        cases["13 offsets"] += len(offsets) == 13
-        cases["tied least gaps"] += gaps.count(min(gaps)) > 1
-    assert min(cases.values()) >= 20
-
-
-def narrow_oracle(n, offsets):
-    """_narrow by brute force: the least (span, sorted tuple) over the
-    images +-u*x + c mod n, u the inverse of the difference of a cyclically
-    adjacent pair, that start at 0 and end at their span, no wider than the
-    offsets; None if there is none."""
-    ends = offsets[1:] + (offsets[0] + n,)
-    units = [pow(b - a, -1, n) for a, b in zip(offsets, ends) if math.gcd(b - a, n) == 1]
-    candidates = []
-    for u in units:
-        for c in range(n):
-            for sign in (1, -1):
-                image = sorted((sign * u * x + c) % n for x in offsets)
-                span = n - max(y - x for x, y in zip(image, image[1:] + [image[0] + n]))
-                if image[0] == 0 and image[-1] == span <= span_of(n, offsets):
-                    candidates.append((span, tuple(image)))
-    return min(candidates)[1] if candidates else None
 
 
 def span_of(n, offsets):
@@ -764,55 +723,90 @@ def span_of(n, offsets):
     return min(max((x - c) % n for x in offsets) for c in offsets)
 
 
-def test_narrow_is_the_least_adjacent_pair_image():
+def key_oracle(n, offsets):
+    """_key by brute force: the least (span, sorted tuple) over the images
+    +-x + c of the offsets and, if their span exceeds twice their count,
+    of +-u*x + c for u the inverse of each cyclically adjacent difference
+    that is a unit, among the images that start at 0 and end at their
+    span."""
+    units = [1]
+    if span_of(n, offsets) > 2 * len(offsets):
+        ends = offsets[1:] + (offsets[0] + n,)
+        units += [pow(b - a, -1, n) for a, b in zip(offsets, ends) if math.gcd(b - a, n) == 1]
+    candidates = []
+    for u in units:
+        for c in range(n):
+            for sign in (1, -1):
+                image = tuple(sorted((sign * u * x + c) % n for x in offsets))
+                if image[0] == 0 and image[-1] == span_of(n, image):
+                    candidates.append((image[-1], image))
+    return min(candidates)[1]
+
+
+def test_key_is_the_least_short_arc_image():
+    # n < 40 and up to 13 offsets: random ones, and unions of cosets of a
+    # subgroup, whose gap sequences repeat, so that several rotations
+    # start after a largest gap
     rng = random.Random(28657)
     cases = Counter()
-    for _ in range(500):
-        n = rng.randint(1, 24)
-        offsets = tuple(sorted({0, *rng.sample(range(1, n), rng.randint(0, min(n - 1, 6)))}))
-        narrow = solver._narrow(n, offsets)
-        assert narrow == narrow_oracle(n, offsets)
-        if narrow is None:  # solved at the offsets themselves
-            ends = offsets[1:] + (n,)
-            units = [b - a for a, b in zip(offsets, ends) if math.gcd(b - a, n) == 1]
-            cases["all images wider" if units else "no unit"] += 1
-            continue
-        # u * (T - a) mod n for a unit u and some a in T, so one class under units
+    for i in range(600):
+        n = rng.randint(1, 39)
+        if i % 3:
+            offsets = {0, *rng.sample(range(1, n), rng.randint(0, min(n - 1, 6)))}
+        else:  # n // q offsets in each coset, 0's coset and at most 13 // (n // q) in all
+            q = rng.choice([q for q in range(1, n + 1) if n % q == 0 and n // q <= 13])
+            cosets = [0, *rng.sample(range(1, q), rng.randint(0, min(q, 13 // (n // q)) - 1))]
+            offsets = {c + j * q for c in cosets for j in range(n // q)}
+        offsets = tuple(sorted(offsets))
+        key = solver._key(n, offsets)
+        assert key == key_oracle(n, offsets)
+        # u * (T - t) mod n for a unit u and some t in T, so the same gamma
         assert any(
-            narrow == tuple(sorted(u * (t - a) % n for t in offsets))
+            key == tuple(sorted(u * (x - t) % n for x in offsets))
             for u in range(n) if math.gcd(u, n) == 1
-            for a in offsets
+            for t in offsets
         )
-        assert solver._span(n, narrow) == span_of(n, narrow) <= span_of(n, offsets)
+        assert key[0] == 0 and key[-1] == span_of(n, key) <= span_of(n, offsets)
         # the same for every image under x -> +-x + c, with 0 in it or not
         for c in range(n):
             for sign in (1, -1):
-                image = tuple(sorted((sign * x + c) % n for x in offsets))
-                assert solver._narrow(n, image) == narrow
-                assert solver._span(n, image) == solver._span(n, offsets)
-        inst = CirculantInstance(n, frozenset(offsets))
-        if math.comb(n, gamma_exact(inst).gamma) <= 20_000:
-            assert gamma_bruteforce(CirculantInstance(n, frozenset(narrow))) == gamma_bruteforce(inst)
-            cases["brute force"] += 1
-        cases["narrower"] += solver._span(n, narrow) < solver._span(n, offsets)
-        cases["wide"] += solver._span(n, offsets) > 2 * len(offsets)
-    # every image wider than the offsets is rare: test_narrow_examples has one
-    assert cases["all images wider"] >= 1, cases
-    assert min(cases[c] for c in ("no unit", "brute force", "narrower", "wide")) >= 20, cases
+                assert solver._key(n, tuple(sorted((sign * x + c) % n for x in offsets))) == key
+        if n <= 24 and key != offsets:
+            gamma = gamma_exact(CirculantInstance(n, frozenset(offsets))).gamma
+            if math.comb(n, gamma) <= 5_000:
+                assert gamma_bruteforce(CirculantInstance(n, frozenset(key))) == gamma
+                cases["brute force"] += 1
+        gaps = solver._gaps(n, offsets)
+        wide = n - max(gaps) > 2 * len(offsets)
+        units = [d for d in gaps if d not in (1, n - 1) and math.gcd(d, n) == 1]
+        cases["narrower"] += key[-1] < span_of(n, offsets)
+        cases["wide, no unit"] += wide and not units
+        cases["wide, every image wider"] += wide and bool(units) and key[-1] == span_of(n, offsets)
+        cases["not wide, relabelled"] += not wide and key != offsets
+        cases["over 8 offsets"] += len(offsets) > 8
+        cases["tied largest gaps"] += gaps.count(max(gaps)) > 1
+    assert len(cases) == 7 and min(cases.values()) >= 20, cases
 
 
-def test_narrow_examples():
+def test_key_examples():
     # x -> 3 - 2x: the scan's Z_31 with {0, 1, 17} (span 15) at span 3
-    assert solver._narrow(31, (0, 1, 17)) == (0, 1, 3)
-    assert solver._span(31, (0, 1, 17)) == 15
-    assert solver._narrow(10, (0, 2, 5, 7)) == (0, 1, 5, 6)
-    # no adjacent difference is a unit
-    for n, offsets in [(12, (0, 2, 4)), (12, (0, 3, 6, 9)), (30, (0, 6, 10, 15)), (7, (0,))]:
-        assert solver._narrow(n, offsets) is None
-    # only 2 is: x -> 11x has span 13 > 12
-    assert solver._span(21, (0, 9, 16, 18)) == 12
-    assert solver._narrow(21, (0, 9, 16, 18)) is None
-    assert solver._narrow(1, (0,)) == (0,)
+    assert solver._key(31, (0, 1, 17)) == (0, 1, 3)
+    # span 7 is at most 2 * 4, so only its own gaps are read, though
+    # x -> 3x gives {0, 1, 5, 6} of span 6
+    assert solver._key(10, (0, 2, 5, 7)) == (0, 2, 5, 7)
+    # no adjacent difference is a unit: the offsets' own gaps, read
+    # backwards for {0, 6, 10, 15}
+    for n, offsets, key in [
+        (12, (0, 2, 4), (0, 2, 4)),
+        (12, (0, 3, 6, 9), (0, 3, 6, 9)),
+        (30, (0, 6, 10, 15), (0, 5, 9, 15)),
+        (7, (0,), (0,)),
+    ]:
+        assert solver._key(n, offsets) == key
+    # only 2 is: x -> 11x has span 13 > 12, so the own gaps again
+    assert solver._gaps(21, (0, 9, 16, 18)) == (9, 7, 2, 3)
+    assert solver._key(21, (0, 9, 16, 18)) == (0, 3, 5, 12)
+    assert solver._key(1, (0,)) == (0,)
 
 
 def test_gamma_shared_solves_a_wide_class_at_its_narrow_image(monkeypatch, empty_caches):
@@ -828,28 +822,39 @@ def test_gamma_shared_solves_a_wide_class_at_its_narrow_image(monkeypatch, empty
         for n, offsets in [(31, (0, 1, 17)), (20, (0, 1, 5)), (30, (0, 6, 10, 15))]
     }
     monkeypatch.setattr(solver, "_certify", recorded)
-    # span 15 > 2 * 3: the floor 11 holds for the whole class
+    # span 15 > 2 * 3: the floor 11 holds for the whole class, so at its key
     assert gamma_shared(31, (0, 1, 17), 11) == gammas[(31, (0, 1, 17))]
     assert solved == [(31, (0, 1, 3), 11)]
-    least = solver._class_key(31, (0, 1, 17))
-    assert least != (0, 1, 3)
-    assert list(solver._gamma_cache) == [(31, (0, 1, 3)), (31, least), (31, (0, 1, 17))]
-    # another class with the same narrow image is served from it, and keeps
-    # its class key
+    assert list(solver._gamma_cache) == [(31, (0, 1, 3)), (31, (0, 1, 17))]
+    # another class under x -> +-x + a with the same key is served from it
     other = next(
         image for u in range(2, 31)
-        if solver._narrow(31, image := tuple(sorted(u * x % 31 for x in (0, 1, 3)))) == (0, 1, 3)
-        and solver._class_key(31, image) != least and solver._span(31, image) > 6
+        if solver._key(31, image := tuple(sorted(u * x % 31 for x in (0, 1, 3)))) == (0, 1, 3)
+        and not any(
+            image == tuple(sorted((sign * x + c) % 31 for x in (0, 1, 17)))
+            for sign in (1, -1) for c in range(31)
+        )
     )
     assert gamma_shared(31, other) == solver._gamma_cache[(31, (0, 1, 3))]
     assert len(solved) == 1
-    assert (31, solver._class_key(31, other)) in solver._gamma_cache
-    # offsets of span at most 2k are solved as they are
+    assert list(solver._gamma_cache)[2:] == [(31, other)]
+    # offsets of span at most 2k are solved at a reading of their own gaps
     assert gamma_shared(20, (0, 1, 5)) == gammas[(20, (0, 1, 5))]
     assert solved[1:] == [(20, (0, 1, 5), 0)]
-    # wide offsets with no adjacent unit difference too
+    # so are wide offsets with no adjacent unit difference
     assert gamma_shared(30, (0, 6, 10, 15)) == gammas[(30, (0, 6, 10, 15))]
-    assert solved[2:] == [(30, (0, 6, 10, 15), 0)]
+    assert solved[2:] == [(30, (0, 5, 9, 15), 0)]
+
+
+def test_cached_residues_count_each_key_once(empty_caches):
+    # {0, 3, 4, 9} is wide in Z_15 and has no adjacent unit difference
+    # but 1, so it is its own key, and is kept and counted once
+    assert solver._key(15, (0, 3, 4, 9)) == (0, 3, 4, 9)
+    assert gamma_shared(15, (0, 3, 4, 9)) == gamma_exact(reduce_mod(DifferenceSet((3, 4, 9)), 15)).gamma
+    assert list(solver._gamma_cache) == [(15, (0, 3, 4, 9))]
+    assert solver._cached_residues == sum(len(key) for _, key in solver._gamma_cache) == 4
+    search_ratio(DifferenceSet((3, 4, 9)), 24)
+    assert solver._cached_residues == sum(len(key) for _, key in solver._gamma_cache)
 
 
 def affine_image(inst, u, y):
@@ -879,10 +884,9 @@ def test_gamma_shared_across_affine_images(monkeypatch, empty_caches):
 
 
 def test_gamma_exact_computes_no_class_key(monkeypatch, empty_caches):
-    # nor a narrow image: it solves the caller's own offsets, so its
-    # witness and node count are theirs
-    monkeypatch.setattr(solver, "_class_key", refuse)
-    monkeypatch.setattr(solver, "_narrow", refuse)
+    # it solves the caller's own offsets, so its witness and node count
+    # are theirs
+    monkeypatch.setattr(solver, "_key", refuse)
     for n, steps, gamma in [(14, (1, 2, 8), 4), (30, (1, 2, -14), 8), (25, (3,), 13)]:
         inst = reduce_mod(DifferenceSet(steps), n)
         cert = gamma_exact(inst)
