@@ -723,41 +723,75 @@ def span_of(n, offsets):
     return min(max((x - c) % n for x in offsets) for c in offsets)
 
 
+def mirror_key(n, offsets):
+    """The least (span, sorted tuple) over the images +-x + c of the
+    offsets that start at 0 and end at their span, by brute force."""
+    images = (tuple(sorted((sign * x + c) % n for x in offsets)) for c in range(n) for sign in (1, -1))
+    return min(
+        ((image[-1], image) for image in images if image[0] == 0 and image[-1] == span_of(n, image))
+    )[1]
+
+
 def key_oracle(n, offsets):
-    """_key by brute force: the least (span, sorted tuple) over the images
-    +-x + c of the offsets and, if their span exceeds twice their count,
-    of +-u*x + c for u the inverse of each cyclically adjacent difference
-    that is a unit, among the images that start at 0 and end at their
-    span."""
+    """_key by brute force: the least (span, sorted tuple) of mirror_key
+    over the offsets and, if their span exceeds twice their count, over
+    u * offsets for u the inverse of each cyclically adjacent difference
+    that is a unit."""
     units = [1]
     if span_of(n, offsets) > 2 * len(offsets):
         ends = offsets[1:] + (offsets[0] + n,)
         units += [pow(b - a, -1, n) for a, b in zip(offsets, ends) if math.gcd(b - a, n) == 1]
-    candidates = []
-    for u in units:
-        for c in range(n):
-            for sign in (1, -1):
-                image = tuple(sorted((sign * u * x + c) % n for x in offsets))
-                if image[0] == 0 and image[-1] == span_of(n, image):
-                    candidates.append((image[-1], image))
-    return min(candidates)[1]
+    keys = (mirror_key(n, tuple(u * x % n for x in offsets)) for u in units)
+    return min((key[-1], key) for key in keys)[1]
 
 
-def test_key_is_the_least_short_arc_image():
-    # n < 40 and up to 13 offsets: random ones, and unions of cosets of a
-    # subgroup, whose gap sequences repeat, so that several rotations
-    # start after a largest gap
-    rng = random.Random(28657)
-    cases = Counter()
-    for i in range(600):
-        n = rng.randint(1, 39)
+def offsets_cases(rng, count, max_n):
+    """count sorted offsets tuples holding 0, with n <= max_n and up to 13
+    offsets: random ones, and unions of cosets of a subgroup, whose gap
+    sequences repeat, so that several rotations start after a largest gap."""
+    for i in range(count):
+        n = rng.randint(1, max_n)
         if i % 3:
-            offsets = {0, *rng.sample(range(1, n), rng.randint(0, min(n - 1, 6)))}
+            offsets = {0, *rng.sample(range(1, n), rng.randint(0, min(n - 1, 12)))}
         else:  # n // q offsets in each coset, 0's coset and at most 13 // (n // q) in all
             q = rng.choice([q for q in range(1, n + 1) if n % q == 0 and n // q <= 13])
             cosets = [0, *rng.sample(range(1, q), rng.randint(0, min(q, 13 // (n // q)) - 1))]
             offsets = {c + j * q for c in cosets for j in range(n // q)}
-        offsets = tuple(sorted(offsets))
+        yield n, tuple(sorted(offsets))
+
+
+def test_class_key_is_least_mirror_image():
+    # the key is one per class under x -> +-x + c: offsets within twice
+    # their count are keyed at their least mirror image, wide ones at one
+    # no wider, and either way the key is the least mirror image of itself
+    rng = random.Random(4181)
+    cases = Counter()
+    for n, offsets in offsets_cases(rng, 900, 64):
+        key = solver._key(n, offsets)
+        least = mirror_key(n, offsets)
+        wide = span_of(n, offsets) > 2 * len(offsets)
+        if wide:
+            assert (key[-1], key) <= (least[-1], least)
+        else:
+            assert key == least
+        assert mirror_key(n, key) == key
+        # the same for every image under x -> +-x + c, with 0 in it or not
+        for c in range(n):
+            for sign in (1, -1):
+                assert solver._key(n, tuple(sorted((sign * x + c) % n for x in offsets))) == key
+        gaps = solver._gaps(n, offsets)
+        cases["13 offsets"] += len(offsets) == 13
+        cases["tied largest gaps"] += gaps.count(max(gaps)) > 1
+        cases["not wide, relabelled"] += not wide and key != offsets
+        cases["wide, narrower than its mirror images"] += wide and key[-1] < least[-1]
+    assert len(cases) == 4 and min(cases.values()) >= 20, cases
+
+
+def test_narrow_is_the_least_adjacent_pair_image():
+    # n < 40 and up to 13 offsets
+    rng = random.Random(28657)
+    cases = Counter()
+    for n, offsets in offsets_cases(rng, 600, 39):
         key = solver._key(n, offsets)
         assert key == key_oracle(n, offsets)
         # u * (T - t) mod n for a unit u and some t in T, so the same gamma
@@ -767,10 +801,6 @@ def test_key_is_the_least_short_arc_image():
             for t in offsets
         )
         assert key[0] == 0 and key[-1] == span_of(n, key) <= span_of(n, offsets)
-        # the same for every image under x -> +-x + c, with 0 in it or not
-        for c in range(n):
-            for sign in (1, -1):
-                assert solver._key(n, tuple(sorted((sign * x + c) % n for x in offsets))) == key
         if n <= 24 and key != offsets:
             gamma = gamma_exact(CirculantInstance(n, frozenset(offsets))).gamma
             if math.comb(n, gamma) <= 5_000:
