@@ -5,6 +5,13 @@ ratio also offers a plain mode and table emits TSV.  Exit codes: 0 on
 success, 2 on a usage or domain error, 3 when an internal cross-check
 fails, which would mean a bug, not bad input, and 141 when the reader
 closes stdout early.
+
+Every cmd_* is a generator of its output: a str (a plain line or a TSV
+row) or a dict (a JSON payload).  main prints each item as it comes, so a
+table streams, and is the one place that writes to stdout.  A cross-check
+that fails raises ConsistencyError after yielding what it checked, so the
+payload still reaches stdout; a table row that fails stops the table
+after the rows before it.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .construct import check_block_lemma, construct_best, verify_dominating
@@ -36,11 +44,11 @@ def _parse_set(text: str) -> DifferenceSet:
     return DifferenceSet(elements)
 
 
-def cmd_ratio(args) -> int:
+def cmd_ratio(args) -> Iterator[str | dict]:
     result = domination_ratio(args.d, args.s)
     if args.format == "plain":
-        print(format_ratio(result.value))
-        return 0
+        yield format_ratio(result.value)
+        return
     payload = {
         "d": args.d,
         "s": args.s,
@@ -50,11 +58,10 @@ def cmd_ratio(args) -> int:
     if result.decomposition is not None:
         payload["k"] = result.decomposition.k
         payload["e"] = result.decomposition.e
-    print(json.dumps(payload))
-    return 0
+    yield payload
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> Iterator[str | dict]:
     pset, result = construct_best(args.d, args.s)
     payload = {
         "d": args.d,
@@ -65,20 +72,16 @@ def cmd_construct(args) -> int:
         "case": result.case.value,
     }
     if args.verify:
-        steps = family_set(args.d, args.s)
-        verified = verify_dominating(pset, steps)
-        # the lemma bounds the blocks of a dominating set, so it needs one
-        lemma = verified and check_block_lemma(pset, args.d, args.s)
+        verified = verify_dominating(pset, family_set(args.d, args.s))
         payload["verified"] = verified
-        payload["block_lemma"] = lemma
-        if not (verified and lemma):
-            print(json.dumps(payload))
-            raise ConsistencyError(f"construction failed checks for ({args.d}, {args.s})")
-    print(json.dumps(payload))
-    return 0
+        # the lemma bounds the blocks of a dominating set, so it needs one
+        payload["block_lemma"] = verified and check_block_lemma(pset, args.d, args.s)
+    yield payload
+    if args.verify and not payload["block_lemma"]:
+        raise ConsistencyError(f"construction failed checks for ({args.d}, {args.s})")
 
 
-def cmd_gamma(args) -> int:
+def cmd_gamma(args) -> Iterator[str | dict]:
     steps = _parse_set(args.set)
     inst = reduce_mod(steps, args.n)
     # the oracle first: past its size limit it raises before any solve
@@ -94,14 +97,12 @@ def cmd_gamma(args) -> int:
     if args.oracle:
         payload["oracle"] = oracle
         payload["oracle_agrees"] = oracle == cert.gamma
-        if oracle != cert.gamma:
-            print(json.dumps(payload))
-            raise ConsistencyError(f"oracle disagrees on n={args.n}")
-    print(json.dumps(payload))
-    return 0
+    yield payload
+    if args.oracle and not payload["oracle_agrees"]:
+        raise ConsistencyError(f"oracle disagrees on n={args.n}")
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> Iterator[str | dict]:
     steps = _parse_set(args.set)
     payload = {}
     if args.normalize:
@@ -122,8 +123,7 @@ def cmd_search(args) -> int:
             "theoretical_cap_note": report.theoretical_cap_note,
         }
     )
-    print(json.dumps(payload))
-    return 0
+    yield payload
 
 
 def _confirm(steps: DifferenceSet, n: int, expected: int) -> str:
@@ -137,13 +137,6 @@ def _confirm(steps: DifferenceSet, n: int, expected: int) -> str:
             f"gamma(Z_{n}, {set(steps.elements)}) = {cert.gamma}, expected {expected}"
         )
     return str(cert.gamma)
-
-
-def _family_rows(forms, k_max: int):
-    """Rows (family, k, s, num, den) for one closed-form table."""
-    for label, s_of_k, num_of_k, den_of_k, k_min in forms:
-        for k in range(k_min, k_max + 1):
-            yield label, k, s_of_k(k), num_of_k(k), den_of_k(k)
 
 
 D4_FORMS = [
@@ -170,63 +163,52 @@ D5_FORMS = [
 D5_SPECIALS = [(-3, 1, 4), (-2, 1, 4), (5, 1, 4), (6, 1, 4)]
 
 
-def _emit_closed_form_table(d: int, forms, specials, args) -> None:
+def _form_rows(forms, specials, k_max: int):
+    """Rows (family, k, s, num, den) of one closed-form table: the specials
+    first, as family "special" at k = 1, then each form for k_min..k_max."""
+    for s, num, den in specials:
+        yield "special", 1, s, num, den
+    for label, s_of_k, num_of_k, den_of_k, k_min in forms:
+        for k in range(k_min, k_max + 1):
+            yield label, k, s_of_k(k), num_of_k(k), den_of_k(k)
+
+
+def cmd_table(args) -> Iterator[str | dict]:
+    if args.which == "circulant":
+        header = ["kind", "d", "k", "e", "n", "set", "gamma"]
+        if args.check:
+            header.append("confirmed")
+        yield "\t".join(header)
+        for d in (3, 4, 5):
+            for k in range(1, args.k_max + 1):
+                # kind A: steps 1..d-1 mod dk+e, gamma k+1;
+                # kind B: steps 1..d-2 and dk mod 2dk-d+2, gamma 2k
+                rows = [
+                    ("A", str(e), d * k + e, tuple(range(1, d)), k + 1)
+                    for e in range(2, d)
+                    if d <= k + e + 1
+                ]
+                if d <= 2 * k + 2:
+                    rows.append(("B", "-", 2 * d * k - d + 2, (*range(1, d - 1), d * k), 2 * k))
+                for kind, e, n, conn, gamma in rows:
+                    row = [kind, str(d), str(k), e, str(n), ",".join(map(str, conn)), str(gamma)]
+                    if args.check:
+                        row.append(_confirm(DifferenceSet(conn), n, gamma))
+                    yield "\t".join(row)
+        return
+    d, forms, specials = (4, D4_FORMS, []) if args.which == "d4" else (5, D5_FORMS, D5_SPECIALS)
     header = ["family", "k", "s", "ratio"]
     if args.check:
         header += ["n", "gamma"]
-    print("\t".join(header))
-    if specials:
-        for s, num, den in specials:
-            _emit_form_row(d, "special", 1, s, num, den, args)
-    for label, k, s, num, den in _family_rows(forms, args.k_max):
-        _emit_form_row(d, label, k, s, num, den, args)
-
-
-def _emit_form_row(d, label, k, s, num, den, args) -> None:
-    value = domination_ratio(d, s).value
-    if value != Fraction(num, den):
-        raise ConsistencyError(f"table value {num}/{den} != formula for (d={d}, s={s})")
-    row = [label, str(k), str(s), format_ratio(value)]
-    if args.check:
-        row.append(str(den))
-        row.append(_confirm(family_set(d, s), den, num))
-    print("\t".join(row))
-
-
-def _emit_circulant_table(args) -> None:
-    header = ["kind", "d", "k", "e", "n", "set", "gamma"]
-    if args.check:
-        header.append("confirmed")
-    print("\t".join(header))
-    for d in (3, 4, 5):
-        for k in range(1, args.k_max + 1):
-            for e in range(2, d):
-                if d > k + e + 1:
-                    continue
-                n = d * k + e
-                conn = tuple(range(1, d))
-                _emit_circulant_row("A", d, k, str(e), n, conn, k + 1, args)
-            if d <= 2 * k + 2:
-                n = 2 * d * k - d + 2
-                conn = tuple(range(1, d - 1)) + (d * k,)
-                _emit_circulant_row("B", d, k, "-", n, conn, 2 * k, args)
-
-
-def _emit_circulant_row(kind, d, k, e, n, conn, gamma, args) -> None:
-    row = [kind, str(d), str(k), e, str(n), ",".join(map(str, conn)), str(gamma)]
-    if args.check:
-        row.append(_confirm(DifferenceSet(conn), n, gamma))
-    print("\t".join(row))
-
-
-def cmd_table(args) -> int:
-    if args.which == "d4":
-        _emit_closed_form_table(4, D4_FORMS, [], args)
-    elif args.which == "d5":
-        _emit_closed_form_table(5, D5_FORMS, D5_SPECIALS, args)
-    else:
-        _emit_circulant_table(args)
-    return 0
+    yield "\t".join(header)
+    for label, k, s, num, den in _form_rows(forms, specials, args.k_max):
+        value = domination_ratio(d, s).value
+        if value != Fraction(num, den):
+            raise ConsistencyError(f"table value {num}/{den} != formula for (d={d}, s={s})")
+        row = [label, str(k), str(s), format_ratio(value)]
+        if args.check:
+            row += [str(den), _confirm(family_set(d, s), den, num)]
+        yield "\t".join(row)
 
 
 def _attach_set_values(argv: list[str]) -> list[str]:
@@ -285,9 +267,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_set_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        code = args.func(args)
+        for out in args.func(args):
+            print(out if isinstance(out, str) else json.dumps(out))
         sys.stdout.flush()  # a closed pipe raises here, not at exit
-        return code
+        return 0
     except BrokenPipeError:
         # the reader is gone: what is still buffered goes to devnull, so the
         # flush at exit raises nothing

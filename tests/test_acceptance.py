@@ -16,7 +16,7 @@ from domkit.construct import (
     verify_dominating,
     verify_efficient,
 )
-from domkit.formula import RatioCase, decompose, domination_ratio, family_set
+from domkit.formula import decompose, domination_ratio, family_set
 from domkit.model import DifferenceSet, PeriodicSet, density
 from domkit.search import consistency_check, search_ratio
 from domkit.solver import (

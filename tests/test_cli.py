@@ -265,9 +265,15 @@ def test_table_check_exits_3_on_wrong_gamma(capsys, monkeypatch, which):
         return GammaCertificate(cert.gamma + 1, cert.witness, cert.explored)
 
     monkeypatch.setattr(cli, "gamma_exact", wrong_gamma)
-    code, _, err = run(capsys, "table", "--which", which, "--k-max", "2", "--check")
+    code, out, err = run(capsys, "table", "--which", which, "--k-max", "2", "--check")
     assert code == 3
     assert "internal consistency failure: gamma(Z_" in err
+    # the first row's solve fails: rows stream, so the header is all that is out
+    header = {
+        "d4": "family\tk\ts\tratio\tn\tgamma\n",
+        "circulant": "kind\td\tk\te\tn\tset\tgamma\tconfirmed\n",
+    }
+    assert out == header[which]
 
 
 # gamma solves through gamma_exact, search through gamma_shared: both
@@ -414,9 +420,30 @@ GOLDEN_BUILDS = [
 ]
 
 
+# the other subcommands and flags, and the three tables; the d4 table's
+# last rows are above CHECK_PERIOD_CAP, so their gamma cell is "-"
+GOLDEN_OUTPUTS = [
+    (("ratio", "--d", "4", "--s", "8"), "ratio_d4_s8.out"),
+    (("ratio", "--d", "4", "--s", "7", "--format", "plain"), "ratio_d4_s7_plain.out"),
+    (("construct", "--d", "4", "--s", "8"), "construct_d4_s8.out"),
+    (("gamma", "--n", "14", "--set", "1,2,8", "--oracle"), "gamma_n14_set1_2_8_oracle.out"),
+    (
+        ("search", "--set", "3,12", "--max-period", "10", "--normalize"),
+        "search_set3_12_max10_normalize.out",
+    ),
+    (("table", "--which", "d4", "--k-max", "9", "--check"), "table_d4_k9_check.out"),
+    (("table", "--which", "d5", "--k-max", "7", "--check"), "table_d5_k7_check.out"),
+    (("table", "--which", "circulant", "--k-max", "8", "--check"), "table_circulant_k8_check.out"),
+    (("table", "--which", "d5", "--k-max", "3"), "table_d5_k3.out"),
+]
+
+
 # test ids are argvN by list position: the solves added after the builds
-# come after them, so that every earlier run keeps its id
-@pytest.mark.parametrize("argv, name", GOLDEN_SOLVES[:3] + GOLDEN_BUILDS + GOLDEN_SOLVES[3:])
+# come after them, and the other outputs after both, so that every earlier
+# run keeps its id
+@pytest.mark.parametrize(
+    "argv, name", GOLDEN_SOLVES[:3] + GOLDEN_BUILDS + GOLDEN_SOLVES[3:] + GOLDEN_OUTPUTS
+)
 def test_stdout_matches_golden_bytes(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")

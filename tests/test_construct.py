@@ -13,7 +13,7 @@ from domkit.construct import (
     verify_dominating,
     verify_efficient,
 )
-from domkit.formula import RatioCase, decompose, domination_ratio, family_set
+from domkit.formula import RatioCase, decompose, family_set
 from domkit.model import DifferenceSet, PeriodicSet, block_to_periodic, density
 
 
